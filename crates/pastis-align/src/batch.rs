@@ -44,13 +44,16 @@ pub struct BatchStats {
     pub cells: u64,
     /// Largest single DP matrix in the batch.
     pub max_cells: u64,
-    /// Pairs whose i16 vector lane saturated and were re-scored through
-    /// the scalar i32 kernel (score-only dispatch). Pair-intrinsic, so
-    /// identical for every backend/width/thread count.
+    /// Pairs that a lane-dispatched batch (full-statistics or score-only)
+    /// ran through the scalar kernel instead of a vector lane: pairs whose
+    /// i16 lane saturated, plus tasks longer than
+    /// [`crate::multilane::OVERSIZED_LEN`]. Pair-intrinsic, so identical
+    /// for every backend/width/thread count. Always 0 for banded batches.
     pub lane_promotions: u64,
-    /// Vector backend the batch's score-only work dispatched through
-    /// ([`SimdBackend::Scalar`] for traceback/banded batches, which run
-    /// scalar kernels only).
+    /// Vector backend the batch's lane work dispatched through — both the
+    /// default full-statistics kernel and the score-only kernel
+    /// ([`SimdBackend::Scalar`] for banded batches, which run the scalar
+    /// kernel only).
     pub simd: SimdBackend,
     /// CPU seconds: summed busy time of every worker thread (measured).
     pub seconds: f64,

@@ -8,25 +8,25 @@
 //!   units that `t` scoped threads claim from a shared atomic counter
 //!   (dynamic self-scheduling, so ragged task costs balance), with results
 //!   re-assembled **in task order**. Every task is computed by the same
-//!   scalar kernel regardless of which worker claims it, so output is
+//!   kernel regardless of which worker claims it, so output is
 //!   bit-identical to the serial driver for any thread count — the same
 //!   determinism contract the SUMMA layer pins down.
-//! * **Multilane packing** ([`AlignPool::run_score_only`]): score-only
-//!   work is sorted by length into ragged lanes and dispatched through the
-//!   vector kernel ([`crate::multilane`]) at the selected backend's lane
+//! * **Multilane packing** ([`AlignPool::run_traceback`],
+//!   [`AlignPool::run_score_only`]): full-statistics and score-only work
+//!   is sorted by length into ragged lanes and dispatched through the
+//!   vector kernels ([`crate::multilane`]) at the selected backend's lane
 //!   width ([`AlignPool::with_simd`]; AVX2 16, SSE2/NEON 8, portable 16),
-//!   falling back to scalar [`sw_score_only`] for oversized tasks. The
-//!   lane plan is a pure function of the task list and lane width, never
-//!   of the thread count, and the vector kernel is padding-invariant and
-//!   bit-identical to the scalar one (its i16 saturation rescue re-scores
-//!   through scalar i32), so scores stay bit-identical here too — across
-//!   thread counts *and* backends.
+//!   falling back to the scalar kernels ([`sw_align`], [`sw_score_only`])
+//!   for tasks longer than [`OVERSIZED_LEN`]. The lane plan is a pure
+//!   function of the task list and lane width, never of the thread count,
+//!   and the vector kernels are padding-invariant and equal to the scalar
+//!   ones (saturated lanes are re-run through the scalar kernel), so
+//!   results stay bit-identical here too — across thread counts *and*
+//!   backends.
 //!
-//! Traceback-requiring work ([`AlignPool::run_traceback`]) and
-//! seed-anchored banded work ([`AlignPool::run_banded`]) parallelize over
-//! scalar kernels only — traceback needs the full matrix per pair, and the
-//! banded kernel's exploration set depends on per-pair seeds, neither of
-//! which fits lock-step lanes.
+//! Seed-anchored banded work ([`AlignPool::run_banded`]) parallelizes over
+//! the scalar kernel only — its exploration set depends on per-pair seeds,
+//! which does not fit lock-step lanes.
 //!
 //! Time accounting: the returned [`BatchStats`] carries the wall-vs-CPU
 //! split — `seconds` sums worker busy time, `wall_seconds` is elapsed.
@@ -41,18 +41,15 @@ use pastis_trace::{names, Component, Recorder, Track};
 use crate::banded::sw_banded;
 use crate::batch::{AlignTask, BatchStats};
 use crate::matrices::Scoring;
-use crate::multilane::{sw_score_lanes_prepared, LaneTable};
+use crate::multilane::{
+    sw_align_lanes_prepared, sw_score_lanes_prepared, usable, LaneTable, OVERSIZED_LEN,
+};
 use crate::simd::{SimdBackend, MAX_LANES};
 use crate::sw::{sw_align, sw_score_only, AlignmentResult, GapPenalties};
 
 /// Scalar tasks claimed per unit of work. Small enough for dynamic load
 /// balance over ragged lengths, large enough to amortize the atomic claim.
 const CHUNK: usize = 32;
-
-/// Sequences longer than this skip the multilane path: one huge lane
-/// member would pad every companion to its dimensions, and the lane's
-/// working set would fall out of cache.
-const OVERSIZED_LEN: usize = 4096;
 
 /// Score and exact work of one score-only or banded task.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -121,7 +118,7 @@ impl AlignPool {
         self
     }
 
-    /// Select the vector backend for score-only dispatch (an unavailable
+    /// Select the vector backend for lane dispatch (an unavailable
     /// backend degrades to the portable lanes inside the kernel; callers
     /// that must reject that case validate through
     /// [`crate::simd::SimdPolicy::resolve`] first). Scores are
@@ -136,13 +133,19 @@ impl AlignPool {
         self.threads
     }
 
-    /// Vector backend score-only batches dispatch through.
+    /// Vector backend traceback and score-only batches dispatch through.
     pub fn simd(&self) -> SimdBackend {
         self.simd
     }
 
-    /// Full Smith–Waterman with traceback over every task, in parallel
-    /// chunks; results in task order, bit-identical to the serial loop.
+    /// Full Smith–Waterman statistics over every task — every
+    /// [`AlignmentResult`] field equal to [`sw_align`]'s — through the
+    /// statistics-carrying lane kernel, which stores no traceback matrix.
+    ///
+    /// Dispatch follows [`AlignPool::run_score_only`]: saturated lanes and
+    /// tasks longer than [`OVERSIZED_LEN`] run through scalar [`sw_align`]
+    /// and are counted in [`BatchStats::lane_promotions`]. Results are in
+    /// task order and bit-identical for every thread count and backend.
     pub fn run_traceback<'a, S, L>(
         &self,
         tasks: &[AlignTask],
@@ -154,20 +157,15 @@ impl AlignPool {
         S: Scoring + Sync,
         L: Fn(u32) -> &'a [u8] + Sync,
     {
-        let n_units = tasks.len().div_ceil(CHUNK);
-        let (chunks, stats) = self.execute_units(n_units, |u, local| {
-            let range = chunk_range(u, tasks.len());
-            let mut out = Vec::with_capacity(range.len());
-            for t in &tasks[range] {
-                let res = sw_align(lookup(t.query), lookup(t.reference), scoring, gaps);
-                local.pairs += 1;
-                local.cells += res.cells;
-                local.max_cells = local.max_cells.max(res.cells);
-                out.push(res);
-            }
-            out
-        });
-        (chunks.concat(), stats)
+        let table = LaneTable::build(scoring, gaps);
+        self.run_lanes(
+            tasks,
+            &lookup,
+            |qs, rs, backend| {
+                sw_align_lanes_prepared(qs, rs, scoring, gaps, backend, table.as_ref())
+            },
+            |q, r| sw_align(q, r, scoring, gaps),
+        )
     }
 
     /// Seed-anchored banded Smith–Waterman (half-width `w`) over every
@@ -215,13 +213,14 @@ impl AlignPool {
     /// through the multilane vector kernel where possible.
     ///
     /// Tasks are sorted by length into lanes of the selected backend's
-    /// width (so lane members pad against near-equals); oversized tasks
-    /// run through scalar [`sw_score_only`]. The plan depends only on the
-    /// task list and lane width, and the vector kernel is bit-identical
-    /// to the scalar one (saturated lanes are promoted to the scalar i32
-    /// kernel), so results match the serial scalar driver for every
-    /// thread count and every backend. The returned stats carry the
-    /// backend used and the promotion count.
+    /// width (so lane members pad against near-equals); tasks longer than
+    /// [`OVERSIZED_LEN`] run through scalar [`sw_score_only`]. The plan
+    /// depends only on the task list and lane width, and the vector kernel
+    /// is bit-identical to the scalar one (saturated lanes are promoted to
+    /// the scalar i32 kernel), so results match the serial scalar driver
+    /// for every thread count and every backend. The returned stats carry
+    /// the backend used and the promotion count (saturated lanes plus
+    /// oversized tasks).
     pub fn run_score_only<'a, S, L>(
         &self,
         tasks: &[AlignTask],
@@ -233,38 +232,76 @@ impl AlignPool {
         S: Scoring + Sync,
         L: Fn(u32) -> &'a [u8] + Sync,
     {
-        let backend = if self.simd.is_available() {
-            self.simd
-        } else {
-            SimdBackend::Scalar
-        };
         let table = LaneTable::build(scoring, gaps);
-        let plan = LanePlan::build(tasks, &lookup, backend.lanes());
+        self.run_lanes(
+            tasks,
+            &lookup,
+            |qs, rs, backend| {
+                let lanes = sw_score_lanes_prepared(qs, rs, scoring, gaps, backend, table.as_ref());
+                let results = lanes
+                    .scores
+                    .into_iter()
+                    .zip(qs.iter().zip(rs))
+                    .map(|(score, (q, r))| ScoreResult {
+                        score,
+                        cells: q.len() as u64 * r.len() as u64,
+                    })
+                    .collect();
+                (results, lanes.promotions)
+            },
+            |q, r| {
+                let (score, _, _, cells) = sw_score_only(q, r, scoring, gaps);
+                ScoreResult { score, cells }
+            },
+        )
+    }
+
+    /// The lane dispatch shared by [`AlignPool::run_traceback`] and
+    /// [`AlignPool::run_score_only`]: packs `tasks` by [`LanePlan`], runs
+    /// each lane unit through `lanes(queries, refs, backend)` (returning
+    /// per-member results and saturation promotions) and each oversized
+    /// task through `scalar(q, r)` (counted as a promotion), and scatters
+    /// the results back to task order.
+    fn run_lanes<'a, R, L, K, F>(
+        &self,
+        tasks: &[AlignTask],
+        lookup: &L,
+        lanes: K,
+        scalar: F,
+    ) -> (Vec<R>, BatchStats)
+    where
+        R: Send,
+        L: Fn(u32) -> &'a [u8] + Sync,
+        K: Fn(&[&[u8]], &[&[u8]], SimdBackend) -> (Vec<R>, u64) + Sync,
+        F: Fn(&[u8], &[u8]) -> R + Sync,
+    {
+        let backend = usable(self.simd);
+        let plan = LanePlan::build(tasks, lookup, backend.lanes());
         let (unit_results, mut stats) = self.execute_units(plan.units.len(), |u, local| {
-            let mut out = Vec::new();
-            match plan.units[u] {
-                LaneUnit::Lane { start, len } => run_lane(
-                    &plan.order[start..start + len],
-                    tasks,
-                    &lookup,
-                    scoring,
-                    gaps,
-                    backend,
-                    table.as_ref(),
-                    local,
-                    &mut out,
-                ),
-                LaneUnit::Scalar(idx) => {
-                    let t = &tasks[idx];
-                    let (score, _, _, cells) =
-                        sw_score_only(lookup(t.query), lookup(t.reference), scoring, gaps);
-                    local.pairs += 1;
-                    local.cells += cells;
-                    local.max_cells = local.max_cells.max(cells);
-                    out.push((idx, ScoreResult { score, cells }));
-                }
+            let (members, promoted): (&[usize], _) = match &plan.units[u] {
+                LaneUnit::Lane { start, len } => (&plan.order[*start..start + len], false),
+                LaneUnit::Scalar(idx) => (std::slice::from_ref(idx), true),
+            };
+            let mut qs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+            let mut rs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+            for (l, &idx) in members.iter().enumerate() {
+                qs[l] = lookup(tasks[idx].query);
+                rs[l] = lookup(tasks[idx].reference);
+                let cells = qs[l].len() as u64 * rs[l].len() as u64;
+                local.pairs += 1;
+                local.cells += cells;
+                local.max_cells = local.max_cells.max(cells);
             }
-            out
+            let n = members.len();
+            let results = if promoted {
+                local.lane_promotions += 1;
+                vec![scalar(qs[0], rs[0])]
+            } else {
+                let (results, promotions) = lanes(&qs[..n], &rs[..n], backend);
+                local.lane_promotions += promotions;
+                results
+            };
+            members.iter().copied().zip(results).collect::<Vec<_>>()
         });
         stats.simd = backend;
         self.recorder.add_counter(
@@ -272,11 +309,9 @@ impl AlignPool {
             stats.lane_promotions as f64,
         );
         // Scatter lane-ordered results back to task order.
-        let mut results = vec![ScoreResult::default(); tasks.len()];
-        for (idx, r) in unit_results.into_iter().flatten() {
-            results[idx] = r;
-        }
-        (results, stats)
+        let mut tagged: Vec<(usize, R)> = unit_results.into_iter().flatten().collect();
+        tagged.sort_unstable_by_key(|&(idx, _)| idx);
+        (tagged.into_iter().map(|(_, r)| r).collect(), stats)
     }
 
     /// Dynamic self-scheduling core: `run_unit(u, &mut local_stats)` is
@@ -427,15 +462,15 @@ fn chunk_range(unit: usize, total: usize) -> Range<usize> {
     unit * CHUNK..((unit + 1) * CHUNK).min(total)
 }
 
-/// One claimable unit of score-only work. Lane units carry the offset
-/// and length of their member run in [`LanePlan::order`].
+/// One claimable unit of lane-dispatched work. Lane units carry the
+/// offset and length of their member run in [`LanePlan::order`].
 #[derive(Debug, Clone, Copy)]
 enum LaneUnit {
     Lane { start: usize, len: usize },
     Scalar(usize),
 }
 
-/// Deterministic length-bucketed packing of a score-only batch.
+/// Deterministic length-bucketed packing of a lane-dispatched batch.
 struct LanePlan {
     /// Lane-eligible task indices, sorted by descending max sequence
     /// length (ties by index) so lane members pad against near-equals.
@@ -467,49 +502,6 @@ impl LanePlan {
             pos += len;
         }
         LanePlan { order, units }
-    }
-}
-
-/// Executes one lane unit: gathers the member pairs, runs the vector
-/// kernel (with its exact overflow rescue), and records per-task results
-/// and exact (unpadded) cell counts.
-#[allow(clippy::too_many_arguments)]
-fn run_lane<'a, S, L>(
-    members: &[usize],
-    tasks: &[AlignTask],
-    lookup: &L,
-    scoring: &S,
-    gaps: GapPenalties,
-    backend: SimdBackend,
-    table: Option<&LaneTable>,
-    local: &mut BatchStats,
-    out: &mut Vec<(usize, ScoreResult)>,
-) where
-    S: Scoring,
-    L: Fn(u32) -> &'a [u8],
-{
-    debug_assert!(!members.is_empty() && members.len() <= MAX_LANES);
-    let mut qs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
-    let mut rs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
-    let n = members.len();
-    for (l, &idx) in members.iter().enumerate() {
-        qs[l] = lookup(tasks[idx].query);
-        rs[l] = lookup(tasks[idx].reference);
-    }
-    let lanes = sw_score_lanes_prepared(&qs[..n], &rs[..n], scoring, gaps, backend, table);
-    local.lane_promotions += lanes.promotions;
-    for (l, &idx) in members.iter().enumerate() {
-        let cells = qs[l].len() as u64 * rs[l].len() as u64;
-        local.pairs += 1;
-        local.cells += cells;
-        local.max_cells = local.max_cells.max(cells);
-        out.push((
-            idx,
-            ScoreResult {
-                score: lanes.scores[l],
-                cells,
-            },
-        ));
     }
 }
 
@@ -551,22 +543,28 @@ mod tests {
 
     #[test]
     fn traceback_matches_serial_for_every_thread_count() {
+        // The lane statistics kernel against the scalar sw_align oracle
+        // (`run_batch`), field for field, on every backend.
         let seqs = random_store(12, 40, 1);
         let tasks = random_tasks(12, 70, 2);
         let aligner = BatchAligner::new(Blosum62, GapPenalties::pastis_defaults());
         let (want, want_stats) = aligner.run_batch(&tasks, |id| &seqs[id as usize]);
-        for t in [1, 2, 3, 8] {
-            let pool = AlignPool::new(t);
-            let (got, stats) = pool.run_traceback(
-                &tasks,
-                |id| &seqs[id as usize],
-                &Blosum62,
-                GapPenalties::pastis_defaults(),
-            );
-            assert_eq!(got, want, "t={t}");
-            assert_eq!(stats.pairs, want_stats.pairs, "t={t}");
-            assert_eq!(stats.cells, want_stats.cells, "t={t}");
-            assert_eq!(stats.max_cells, want_stats.max_cells, "t={t}");
+        for backend in SimdBackend::available() {
+            for t in [1, 2, 3, 8] {
+                let pool = AlignPool::new(t).with_simd(backend);
+                let (got, stats) = pool.run_traceback(
+                    &tasks,
+                    |id| &seqs[id as usize],
+                    &Blosum62,
+                    GapPenalties::pastis_defaults(),
+                );
+                assert_eq!(got, want, "{backend} t={t}");
+                assert_eq!(stats.pairs, want_stats.pairs, "{backend} t={t}");
+                assert_eq!(stats.cells, want_stats.cells, "{backend} t={t}");
+                assert_eq!(stats.max_cells, want_stats.max_cells, "{backend} t={t}");
+                assert_eq!(stats.simd, backend);
+                assert_eq!(stats.lane_promotions, 0);
+            }
         }
     }
 
@@ -671,9 +669,10 @@ mod tests {
         assert!(plan.order.is_empty());
         assert_eq!(plan.units.len(), 5);
         let g = GapPenalties::pastis_defaults();
-        let (got, _) = AlignPool::new(2).run_score_only(&tasks, lookup, &Blosum62, g);
+        let (got, stats) = AlignPool::new(2).run_score_only(&tasks, lookup, &Blosum62, g);
         let (want, _, _, _) = sw_score_only(&seqs[0], &seqs[1], &Blosum62, g);
         assert!(got.iter().all(|r| r.score == want));
+        assert_eq!(stats.lane_promotions, 5);
     }
 
     #[test]
@@ -721,9 +720,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// The tentpole contract: `run_batch_parallel(t)` is bit-identical
-        /// to `run_batch` — every traceback field of every result plus the
-        /// pairs/cells/max_cells counters — for any thread count.
+        /// The pool contract: `run_batch_parallel(t)` (the lane statistics
+        /// kernel) is bit-identical to `run_batch` (scalar `sw_align`) —
+        /// every field of every result plus the pairs/cells/max_cells
+        /// counters — for any thread count.
         #[test]
         fn parallel_driver_equals_serial_driver(
             store_seed in 0u64..1_000_000,
@@ -792,8 +792,9 @@ mod tests {
         assert_eq!(stats.cells, want_stats.cells);
 
         let spans = rec.snapshot_spans();
-        // 200 tasks / CHUNK(32) = 7 units ≥ 3 workers, so all 3 workers
-        // participate and each emits exactly one span on its own sub-track.
+        // 200 tasks in lanes of ≤ 16 = ≥ 13 units ≥ 3 workers, so all 3
+        // workers participate and each emits exactly one span on its own
+        // sub-track.
         assert_eq!(spans.len(), 3);
         let mut tracks: Vec<Track> = spans.iter().map(|s| s.track).collect();
         tracks.sort_by_key(|t| t.tid());
@@ -818,7 +819,8 @@ mod tests {
         let units: u64 = spans.iter().map(|s| arg(s, "units")).sum();
         assert_eq!(pairs, stats.pairs);
         assert_eq!(cells, stats.cells);
-        assert_eq!(units, 200u64.div_ceil(CHUNK as u64));
+        let lanes = SimdBackend::detect().lanes() as u64;
+        assert_eq!(units, 200u64.div_ceil(lanes));
     }
 
     #[test]
@@ -879,9 +881,12 @@ mod tests {
             .with_workers(WorkPool::with_exact_workers(2));
         let (_, stats) = pool.run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
         let spans = rec.snapshot_spans();
-        // One span per unit (200 tasks / CHUNK(32) = 7), each on a
+        // One span per lane unit (200 tasks / lane width), each on a
         // unified-pool track, with per-unit tallies summing to the batch.
-        assert_eq!(spans.len(), 200usize.div_ceil(CHUNK));
+        assert_eq!(
+            spans.len(),
+            200usize.div_ceil(SimdBackend::detect().lanes())
+        );
         let arg = |s: &pastis_trace::SpanEvent, k: &str| {
             s.args
                 .iter()

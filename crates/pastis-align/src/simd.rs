@@ -3,8 +3,9 @@
 //! The multilane kernel ([`crate::multilane`]) advances many independent
 //! alignments in lock-step, one pair per lane, on saturating i16 lanes.
 //! This module supplies the lanes: a [`SimdVec`] trait whose operations are
-//! the complete vocabulary of the kernel (splat/load/store, saturating
-//! add/sub, max), implemented by
+//! the complete vocabulary of the kernels (splat/load/store, saturating
+//! add/sub, max, and the `gt` mask / `select` blend pair the
+//! statistics-carrying kernel branches with), implemented by
 //!
 //! * `core::arch::x86_64` **SSE2** (8 lanes) and **AVX2** (16 lanes)
 //!   intrinsics, selected at runtime with `is_x86_feature_detected!`;
@@ -56,6 +57,14 @@ pub trait SimdVec: Copy {
 
     /// Lane-wise maximum.
     fn max(self, o: Self) -> Self;
+
+    /// Lane-wise signed `self > o` as a mask: all bits set (−1) where
+    /// true, 0 where false.
+    fn gt(self, o: Self) -> Self;
+
+    /// Lane-wise blend with `self` as a [`SimdVec::gt`] mask: `a` where
+    /// the mask is set, `b` where it is clear.
+    fn select(self, a: Self, b: Self) -> Self;
 
     /// All lanes zero.
     #[inline(always)]
@@ -117,6 +126,24 @@ impl<const L: usize> SimdVec for ScalarLanes<L> {
         }
         ScalarLanes(a)
     }
+
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, y) in a.iter_mut().zip(o.0) {
+            *x = -((*x > y) as i16);
+        }
+        ScalarLanes(a)
+    }
+
+    #[inline(always)]
+    fn select(self, a: Self, b: Self) -> Self {
+        let mut out = b.0;
+        for ((x, m), y) in out.iter_mut().zip(self.0).zip(a.0) {
+            *x = (y & m) | (*x & !m);
+        }
+        ScalarLanes(out)
+    }
 }
 
 /// SSE2 vector: 8 × i16 in an `__m128i`. SSE2 is a baseline feature of
@@ -160,6 +187,17 @@ impl SimdVec for Sse2Vec {
     #[inline(always)]
     fn max(self, o: Self) -> Self {
         Sse2Vec(unsafe { _mm_max_epi16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        Sse2Vec(unsafe { _mm_cmpgt_epi16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn select(self, a: Self, b: Self) -> Self {
+        // SSE2 has no blend: (mask & a) | (!mask & b).
+        Sse2Vec(unsafe { _mm_or_si128(_mm_and_si128(self.0, a.0), _mm_andnot_si128(self.0, b.0)) })
     }
 }
 
@@ -210,6 +248,17 @@ impl SimdVec for Avx2Vec {
     fn max(self, o: Self) -> Self {
         Avx2Vec(unsafe { _mm256_max_epi16(self.0, o.0) })
     }
+
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        Avx2Vec(unsafe { _mm256_cmpgt_epi16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn select(self, a: Self, b: Self) -> Self {
+        // Byte-wise blend is exact for whole-lane (0 / −1) masks.
+        Avx2Vec(unsafe { _mm256_blendv_epi8(b.0, a.0, self.0) })
+    }
 }
 
 /// NEON vector: 8 × i16 in an `int16x8_t`. NEON is a baseline feature of
@@ -252,6 +301,16 @@ impl SimdVec for NeonVec {
     #[inline(always)]
     fn max(self, o: Self) -> Self {
         NeonVec(unsafe { vmaxq_s16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        NeonVec(unsafe { vreinterpretq_s16_u16(vcgtq_s16(self.0, o.0)) })
+    }
+
+    #[inline(always)]
+    fn select(self, a: Self, b: Self) -> Self {
+        NeonVec(unsafe { vbslq_s16(vreinterpretq_u16_s16(self.0), a.0, b.0) })
     }
 }
 
@@ -428,6 +487,16 @@ mod tests {
         a.max(V::zero()).store(&mut got);
         for l in 0..V::LANES {
             assert_eq!(got[l], src[l].max(0), "max lane {l}");
+        }
+        let mask = a.gt(V::splat(-1000));
+        mask.store(&mut got);
+        for l in 0..V::LANES {
+            assert_eq!(got[l], -((src[l] > -1000) as i16), "gt lane {l}");
+        }
+        mask.select(a, b).store(&mut got);
+        for l in 0..V::LANES {
+            let want = if src[l] > -1000 { src[l] } else { 30000 };
+            assert_eq!(got[l], want, "select lane {l}");
         }
     }
 

@@ -1,17 +1,21 @@
 //! Exact affine-gap Smith–Waterman local alignment.
 //!
-//! This is the alignment kernel of the pipeline: ADEPT (the paper's GPU
-//! library) "realizes the full Smith–Waterman sequence alignment", i.e. the
-//! entire `m × n` dynamic-programming matrix is computed — which is why the
-//! paper's preferred load-balance metric is the *sum of DP-matrix sizes*
-//! (Figure 7b) and its kernel metric is cell updates per second.
+//! These are the scalar reference kernels of the pipeline: ADEPT (the
+//! paper's GPU library) "realizes the full Smith–Waterman sequence
+//! alignment", i.e. the entire `m × n` dynamic-programming matrix is
+//! computed — which is why the paper's preferred load-balance metric is
+//! the *sum of DP-matrix sizes* (Figure 7b) and its kernel metric is cell
+//! updates per second.
 //!
-//! Two kernels:
+//! Two scalar kernels:
 //! * [`sw_score_only`] — linear memory, returns score, end coordinates and
 //!   the exact cell count; used when only filtering on score.
-//! * [`sw_align`] — full traceback, returning the alignment operations and
-//!   the statistics the PASTIS filter needs (identity a.k.a. ANI, per-
-//!   sequence coverage).
+//! * [`sw_align`] — full traceback, returning the statistics the PASTIS
+//!   filter needs (identity a.k.a. ANI, per-sequence coverage). It is the
+//!   oracle of the default path, [`crate::parallel::AlignPool::run_traceback`],
+//!   which carries the same statistics forward on SIMD lanes without a
+//!   traceback matrix ([`crate::multilane`]) and re-runs `sw_align` only
+//!   for saturated or oversized pairs.
 //!
 //! Gap convention: a gap run of length `k` costs `open + k·extend`
 //! (NCBI-BLAST convention; the paper's production parameters are
@@ -52,19 +56,6 @@ impl GapPenalties {
     }
 }
 
-/// One column of a pairwise alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlignOp {
-    /// Identical residues aligned.
-    Match,
-    /// Differing residues aligned.
-    Mismatch,
-    /// Gap in the query (consumes a reference residue).
-    GapInQuery,
-    /// Gap in the reference (consumes a query residue).
-    GapInRef,
-}
-
 /// Result of a local alignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignmentResult {
@@ -88,12 +79,11 @@ pub struct AlignmentResult {
     pub r_gaps: usize,
     /// DP cells computed (`|q| · |r|`), the CUPs numerator.
     pub cells: u64,
-    /// Alignment operations, query-to-reference, in sequence order.
-    pub ops: Vec<AlignOp>,
 }
 
 impl AlignmentResult {
-    fn empty(qlen: usize, rlen: usize) -> AlignmentResult {
+    /// The score-0 result of a `qlen × rlen` problem.
+    pub(crate) fn empty(qlen: usize, rlen: usize) -> AlignmentResult {
         AlignmentResult {
             score: 0,
             q_begin: 0,
@@ -105,7 +95,6 @@ impl AlignmentResult {
             q_gaps: 0,
             r_gaps: 0,
             cells: (qlen as u64) * (rlen as u64),
-            ops: Vec::new(),
         }
     }
 
@@ -209,12 +198,25 @@ const F_EXT: u8 = 1 << 3;
 
 /// Full Smith–Waterman with traceback and alignment statistics.
 ///
-/// O(m·n) time and memory (one byte per DP cell for the traceback).
+/// O(m·n) time and memory (one byte per DP cell for the traceback). The
+/// scalar oracle of the lane kernel, which must match it field for field.
 pub fn sw_align<S: Scoring>(
     q: &[u8],
     r: &[u8],
     scoring: &S,
     gaps: GapPenalties,
+) -> AlignmentResult {
+    align_traced(q, r, scoring, gaps, |_| {})
+}
+
+/// [`sw_align`] handing each traceback step to `on_op` (in reverse
+/// sequence order) as it is counted; tests record them to rescore.
+fn align_traced<S: Scoring>(
+    q: &[u8],
+    r: &[u8],
+    scoring: &S,
+    gaps: GapPenalties,
+    mut on_op: impl FnMut(Step),
 ) -> AlignmentResult {
     let (m, n) = (q.len(), r.len());
     if m == 0 || n == 0 {
@@ -293,7 +295,6 @@ pub fn sw_align<S: Scoring>(
     }
     let (mut i, mut j) = (bi, bj);
     let mut state = State::H;
-    let mut ops_rev: Vec<AlignOp> = Vec::new();
     loop {
         let cell = tb[(i - 1) * n + (j - 1)];
         match state {
@@ -302,11 +303,10 @@ pub fn sw_align<S: Scoring>(
                 H_DIAG => {
                     if q[i - 1] == r[j - 1] {
                         res.matches += 1;
-                        ops_rev.push(AlignOp::Match);
                     } else {
                         res.mismatches += 1;
-                        ops_rev.push(AlignOp::Mismatch);
                     }
+                    on_op(Step::Diag);
                     i -= 1;
                     j -= 1;
                     if i == 0 || j == 0 {
@@ -320,7 +320,7 @@ pub fn sw_align<S: Scoring>(
             State::E => {
                 // Gap in query, consuming r[j-1].
                 res.q_gaps += 1;
-                ops_rev.push(AlignOp::GapInQuery);
+                on_op(Step::GapInQuery);
                 let ext = cell & E_EXT != 0;
                 j -= 1;
                 if j == 0 {
@@ -333,7 +333,7 @@ pub fn sw_align<S: Scoring>(
             State::F => {
                 // Gap in reference, consuming q[i-1].
                 res.r_gaps += 1;
-                ops_rev.push(AlignOp::GapInRef);
+                on_op(Step::GapInRef);
                 let ext = cell & F_EXT != 0;
                 i -= 1;
                 if i == 0 {
@@ -349,40 +349,65 @@ pub fn sw_align<S: Scoring>(
     res.q_end = bi;
     res.r_begin = j;
     res.r_end = bj;
-    ops_rev.reverse();
-    res.ops = ops_rev;
     res
 }
 
-/// Recompute the score of an alignment from its operations — the checking
-/// oracle used by the test suite.
-pub fn rescore<S: Scoring>(
+/// One traceback step of [`align_traced`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Residues aligned (match or mismatch).
+    Diag,
+    /// Gap in the query (consumes a reference residue).
+    GapInQuery,
+    /// Gap in the reference (consumes a query residue).
+    GapInRef,
+}
+
+/// [`sw_align`] plus its alignment columns in sequence order.
+#[cfg(test)]
+fn sw_align_ops<S: Scoring>(
+    q: &[u8],
+    r: &[u8],
+    scoring: &S,
+    gaps: GapPenalties,
+) -> (AlignmentResult, Vec<Step>) {
+    let mut ops = Vec::new();
+    let res = align_traced(q, r, scoring, gaps, |s| ops.push(s));
+    ops.reverse();
+    (res, ops)
+}
+
+/// Recompute the score of an alignment from its columns — the checking
+/// oracle of the tests below.
+#[cfg(test)]
+fn rescore<S: Scoring>(
     q: &[u8],
     r: &[u8],
     res: &AlignmentResult,
+    ops: &[Step],
     scoring: &S,
     gaps: GapPenalties,
 ) -> i32 {
     let mut score = 0i32;
     let (mut i, mut j) = (res.q_begin, res.r_begin);
-    let mut prev: Option<AlignOp> = None;
-    for &op in &res.ops {
+    let mut prev: Option<Step> = None;
+    for &op in ops {
         match op {
-            AlignOp::Match | AlignOp::Mismatch => {
+            Step::Diag => {
                 score += scoring.score(q[i], r[j]);
                 i += 1;
                 j += 1;
             }
-            AlignOp::GapInQuery => {
-                score -= if prev == Some(AlignOp::GapInQuery) {
+            Step::GapInQuery => {
+                score -= if prev == Some(Step::GapInQuery) {
                     gaps.extend
                 } else {
                     gaps.first()
                 };
                 j += 1;
             }
-            AlignOp::GapInRef => {
-                score -= if prev == Some(AlignOp::GapInRef) {
+            Step::GapInRef => {
+                score -= if prev == Some(Step::GapInRef) {
                     gaps.extend
                 } else {
                     gaps.first()
@@ -426,9 +451,9 @@ mod tests {
         // Classic textbook pair (Durbin et al.).
         let q = encode("HEAGAWGHEE").unwrap();
         let r = encode("PAWHEAE").unwrap();
-        let res = sw_align(&q, &r, &Blosum62, gp(10, 1));
+        let (res, ops) = sw_align_ops(&q, &r, &Blosum62, gp(10, 1));
         assert!(res.score > 0);
-        assert_eq!(res.score, rescore(&q, &r, &res, &Blosum62, gp(10, 1)));
+        assert_eq!(res.score, rescore(&q, &r, &res, &ops, &Blosum62, gp(10, 1)));
         let (s, _, _, cells) = sw_score_only(&q, &r, &Blosum62, gp(10, 1));
         assert_eq!(s, res.score);
         assert_eq!(cells, 70);
@@ -461,11 +486,11 @@ mod tests {
             match_score: 2,
             mismatch_score: -3,
         };
-        let res = sw_align(&q, &r, &sc, gp(1, 1));
-        assert_eq!(res.r_gaps, 3, "ops: {:?}", res.ops);
+        let (res, ops) = sw_align_ops(&q, &r, &sc, gp(1, 1));
+        assert_eq!(res.r_gaps, 3, "ops: {ops:?}");
         assert_eq!(res.matches, 8);
         assert_eq!(res.score, 8 * 2 - (1 + 3));
-        assert_eq!(res.score, rescore(&q, &r, &res, &sc, gp(1, 1)));
+        assert_eq!(res.score, rescore(&q, &r, &res, &ops, &sc, gp(1, 1)));
     }
 
     #[test]
@@ -506,7 +531,7 @@ mod tests {
         let r = encode("PPPPP").unwrap();
         let res = sw_align(&q, &r, &Blosum62, GapPenalties::pastis_defaults());
         assert_eq!(res.score, 0);
-        assert!(res.ops.is_empty());
+        assert_eq!(res.aligned_cols(), 0);
     }
 
     #[test]
@@ -552,11 +577,13 @@ mod tests {
             extend in 1i32..5,
         ) {
             let g = gp(open, extend);
-            let res = sw_align(&a, &b, &Blosum62, g);
+            let (res, ops) = sw_align_ops(&a, &b, &Blosum62, g);
+            prop_assert_eq!(&res, &sw_align(&a, &b, &Blosum62, g));
+            prop_assert_eq!(ops.len(), res.aligned_cols());
             let (s, ..) = sw_score_only(&a, &b, &Blosum62, g);
             prop_assert_eq!(res.score, s);
             if res.score > 0 {
-                prop_assert_eq!(rescore(&a, &b, &res, &Blosum62, g), res.score);
+                prop_assert_eq!(rescore(&a, &b, &res, &ops, &Blosum62, g), res.score);
             }
             prop_assert!(res.score >= 0);
         }

@@ -243,9 +243,11 @@ impl MachineModel {
             align_overhead_per_pair: 5.0e-7,
             align_pool_efficiency: 0.80,
             spgemm_pool_efficiency: 0.70,
-            // Measured by `kernel_simd` (results/kernel_simd.txt): the
-            // runtime-selected backend (AVX2, 16 × i16 lanes) vs the serial
-            // scalar kernel, one thread, 4000 pairs: 9.19×.
+            // Measured by `kernel_simd` when the score-only lanes landed:
+            // the runtime-selected backend (AVX2, 16 × i16 lanes) vs the
+            // serial scalar kernel, one thread, 4000 pairs: 9.19×. The
+            // current per-kernel figures (score-only and the default
+            // full-statistics lanes) are in results/kernel_simd.txt.
             simd_lane_speedup: 9.19,
             align_batch_overhead_s: 2.0,
             spgemm_products_per_sec: 1.0e8,

@@ -17,8 +17,11 @@ use crate::loadbalance::LoadBalance;
 /// Which alignment kernel the pipeline uses on candidate pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignKind {
-    /// Full-matrix Smith–Waterman with traceback (the paper's ADEPT
-    /// kernel; required for exact ANI/coverage filtering).
+    /// Full-matrix Smith–Waterman with the traceback statistics (the
+    /// paper's ADEPT kernel; required for exact ANI/coverage filtering).
+    /// Runs on the `--simd` vector lanes, which carry the statistics
+    /// forward instead of storing a traceback matrix; equal field for
+    /// field to the scalar traceback kernel.
     FullSw,
     /// Banded Smith–Waterman around the recorded seed diagonal with the
     /// given half-width. Score-only: candidate edges keep count/score but
@@ -59,7 +62,8 @@ pub struct SearchParams {
     /// `0` uses one worker per available core. The similarity graph is
     /// bit-identical for every value — only wall time changes.
     pub align_threads: usize,
-    /// Vector backend of the score-only alignment kernel (`--simd`).
+    /// Vector backend of the lane alignment kernels (`--simd`): the
+    /// default full-statistics kernel and the score-only one.
     /// `Auto` picks the best the host supports; forcing an unavailable
     /// backend fails validation. Like `align_threads`, the similarity
     /// graph is bit-identical for every choice — only throughput changes.

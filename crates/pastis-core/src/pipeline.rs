@@ -919,9 +919,10 @@ pub fn run_search_traced<C: Communicator + Sync>(
     // with results in task order — output is bit-identical for every
     // worker count. Workers never touch the communicator, so under
     // pre-blocking the concurrent sparse thread remains the only thread
-    // issuing collectives. Score-only batches dispatch through the
-    // `--simd`-selected vector backend; like the thread count, the choice
-    // never changes the graph (the kernel is bit-identical to scalar).
+    // issuing collectives. Full-statistics and score-only batches dispatch
+    // through the `--simd`-selected vector backend; like the thread count,
+    // the choice never changes the graph (the lane kernels are
+    // bit-identical to scalar).
     let simd_backend = params
         .simd
         .resolve()
@@ -961,6 +962,8 @@ pub fn run_search_traced<C: Communicator + Sync>(
                 let (results, stats) = pool.run_traceback(&tasks, lookup, &Blosum62, params.gaps);
                 cells = stats.cells;
                 cpu_seconds = stats.seconds;
+                batch_span.push_arg("simd", stats.simd.id());
+                batch_span.push_arg("lane_promotions", stats.lane_promotions);
                 for (pt, res) in pairs.iter().zip(&results) {
                     let (qlen, rlen) = (seqs[pt.i as usize].len(), seqs[pt.j as usize].len());
                     if filter.passes(res, qlen, rlen) {
@@ -1526,9 +1529,9 @@ pub fn run_search_traced<C: Communicator + Sync>(
         // pool recovers over the old static thread split.
         recorder.add_counter(names::CTR_POOL_STEALS, wp.steals() as f64);
     }
-    if params.align_kind == AlignKind::ScoreOnly {
-        // Which vector backend the score-only batches ran on (stable id:
-        // scalar 0, sse2 1, avx2 2, neon 3). Recorded once per run.
+    if !matches!(params.align_kind, AlignKind::Banded(_)) {
+        // Which vector backend the lane-dispatched batches ran on (stable
+        // id: scalar 0, sse2 1, avx2 2, neon 3). Recorded once per run.
         recorder.add_counter(names::CTR_ALIGN_SIMD_BACKEND, simd_backend.id() as f64);
     }
     Ok(SearchResult {

@@ -470,6 +470,8 @@ impl BatchEngine<'_> {
             AlignKind::FullSw => {
                 let (results, bstats) = self.align.run_traceback(&tasks, lookup, &Blosum62, p.gaps);
                 stats.cells += bstats.cells;
+                bspan.push_arg("simd", bstats.simd.id());
+                bspan.push_arg("lane_promotions", bstats.lane_promotions);
                 for (&(li, j, count), res) in owners.iter().zip(&results) {
                     let (qlen, rlen) = (bstore.seq(li).len(), refs.seq(j as usize).len());
                     if self.filter.passes(res, qlen, rlen) {
@@ -511,6 +513,7 @@ impl BatchEngine<'_> {
                     self.align.run_score_only(&tasks, lookup, &Blosum62, p.gaps);
                 stats.cells += bstats.cells;
                 bspan.push_arg("simd", bstats.simd.id());
+                bspan.push_arg("lane_promotions", bstats.lane_promotions);
                 for (&(li, j, count), res) in owners.iter().zip(&results) {
                     let pt = PairTask {
                         i: 0,

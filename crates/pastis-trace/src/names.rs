@@ -153,7 +153,8 @@ pub const CTR_INDEX_PREFILTER_REUSED: &str = "index.prefilter_reused";
 pub const CTR_POOL_STEALS: &str = "pool.steals";
 /// Numeric id of the SIMD backend the alignment kernel ran on.
 pub const CTR_ALIGN_SIMD_BACKEND: &str = "align.simd_backend";
-/// Lanes promoted from i16 to i32 on saturation rescue.
+/// Pairs a lane-dispatched alignment batch ran through the scalar kernel
+/// instead: saturated i16 lanes plus oversized tasks.
 pub const CTR_ALIGN_LANE_PROMOTIONS: &str = "align.lane_promotions";
 /// SpGEMM kernel dispatches: auto selector invoked.
 pub const CTR_SPGEMM_KERNEL_AUTO: &str = "spgemm.kernel.auto";

@@ -73,8 +73,9 @@ SEARCH/CLUSTER OPTIONS:
     --banded <WIDTH>          banded kernel with half-width WIDTH
     --score-only              full-matrix score-only kernel (multilane SIMD)
     --simd <NAME>             auto | avx2 | sse2 | neon | scalar — vector
-                              backend of the score-only kernel; output is
-                              identical for any choice       [default: auto]
+                              backend of the default and score-only
+                              kernels; output is identical for any
+                              choice                         [default: auto]
     --align-threads <INT>     intra-rank alignment workers; 0 = one per
                               core; output is identical for any value [default: 1]
     --spgemm <NAME>           auto | hash | heap | parallel — local SpGEMM
@@ -613,11 +614,11 @@ fn do_search(
         result.stats.aligned_pairs,
         result.stats.similar_pairs
     );
-    if params.align_kind == AlignKind::ScoreOnly {
+    if !matches!(params.align_kind, AlignKind::Banded(_)) {
         // validate() (inside the pipeline) already resolved the policy.
         let backend = params.simd.resolve()?;
         eprintln!(
-            "simd backend: {} ({} × i16 lanes; scores identical to scalar)",
+            "simd backend: {} ({} × i16 lanes; results identical to scalar)",
             backend,
             backend.lanes()
         );

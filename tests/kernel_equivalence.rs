@@ -1,6 +1,9 @@
 //! Differential kernel-equivalence harness: every compiled SIMD backend of
-//! the score-only multilane kernel must be **bit-identical** to the scalar
-//! i32 kernel — scores and batch counters alike.
+//! both multilane kernels must be **bit-identical** to its scalar oracle —
+//! the score-only lanes to the scalar i32 kernel [`sw_score_only`], and
+//! the full-statistics lanes behind [`AlignPool::run_traceback`] (the
+//! default alignment path) to the traceback kernel [`sw_align`], field
+//! for field — scores, spans, matches, gaps and batch counters alike.
 //!
 //! The paper's headline determinism claim ("the output is identical for
 //! every process count / blocking factor") only survives a vectorized
@@ -11,12 +14,14 @@
 //! the degenerate lengths (0, 1, and scores beyond i16 saturation), then
 //! every backend in [`SimdBackend::available`] — which always includes the
 //! portable scalar-array lanes, so the whole dispatch surface runs even on
-//! hosts without AVX2 — is compared against [`sw_score_only`].
+//! hosts without AVX2 — is compared against its oracle.
 
 use pastis::align::matrices::AA_COUNT;
 use pastis::align::parallel::AlignPool;
-use pastis::align::sw::{sw_score_only, GapPenalties};
-use pastis::align::{sw_score_batch_simd, AlignTask, Blosum62, Scoring, SimdBackend};
+use pastis::align::sw::{sw_align, sw_score_only, AlignmentResult, GapPenalties};
+use pastis::align::{
+    sw_score_batch_simd, AlignTask, BatchStats, Blosum62, MatchMismatch, Scoring, SimdBackend,
+};
 use pastis::core::pipeline::{run_search_serial, SearchResult};
 use pastis::core::SearchParams;
 use pastis::seqio::{SyntheticConfig, SyntheticDataset};
@@ -122,6 +127,68 @@ fn scalar_reference(pairs: &[(Vec<u8>, Vec<u8>)], g: GapPenalties) -> Vec<i32> {
         .collect()
 }
 
+/// `pairs` as a sequence store plus one task per pair (query `2k`,
+/// reference `2k + 1`).
+fn as_tasks(pairs: &[(Vec<u8>, Vec<u8>)]) -> (Vec<&[u8]>, Vec<AlignTask>) {
+    let store: Vec<&[u8]> = pairs
+        .iter()
+        .flat_map(|(q, r)| [q.as_slice(), r.as_slice()])
+        .collect();
+    let tasks = (0..pairs.len() as u32)
+        .map(|k| AlignTask {
+            query: 2 * k,
+            reference: 2 * k + 1,
+            seed_q: 0,
+            seed_r: 0,
+        })
+        .collect();
+    (store, tasks)
+}
+
+/// `run_traceback` of `pairs` on `backend` with `threads` workers.
+fn traceback_on<S: Scoring + Sync>(
+    backend: SimdBackend,
+    threads: usize,
+    pairs: &[(Vec<u8>, Vec<u8>)],
+    scoring: &S,
+    g: GapPenalties,
+) -> (Vec<AlignmentResult>, BatchStats) {
+    let (store, tasks) = as_tasks(pairs);
+    AlignPool::new(threads).with_simd(backend).run_traceback(
+        &tasks,
+        |id| store[id as usize],
+        scoring,
+        g,
+    )
+}
+
+/// The full-statistics contract: on every available backend,
+/// `run_traceback` equals [`sw_align`] field for field on every pair.
+/// Returns the promotion count, which must agree across backends.
+fn assert_traceback_matches<S: Scoring + Sync>(
+    pairs: &[(Vec<u8>, Vec<u8>)],
+    scoring: &S,
+    g: GapPenalties,
+) -> u64 {
+    let want: Vec<AlignmentResult> = pairs
+        .iter()
+        .map(|(q, r)| sw_align(q, r, scoring, g))
+        .collect();
+    let mut promotions = None;
+    for backend in SimdBackend::available() {
+        let (got, stats) = traceback_on(backend, 2, pairs, scoring, g);
+        for (k, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got, want, "{backend} pair {k} ({g:?}): {:?}", pairs[k]);
+        }
+        assert_eq!(stats.simd, backend);
+        assert_eq!(
+            *promotions.get_or_insert(stats.lane_promotions),
+            stats.lane_promotions
+        );
+    }
+    promotions.unwrap_or(0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -145,6 +212,82 @@ proptest! {
             // Short pairs cannot reach i16 saturation.
             prop_assert_eq!(got.promotions, 0, "backend {}", backend);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The same 256 generated batches through the default full-statistics
+    /// path: `run_traceback` on every backend equals `sw_align` field for
+    /// field.
+    #[test]
+    fn traceback_lanes_equal_sw_align_on_every_backend(
+        seed in 0u64..1_000_000_000,
+        n_pairs in 1usize..32,
+        max_len in 1usize..72,
+    ) {
+        let pairs = gen_pairs(seed, n_pairs, max_len);
+        let promotions = assert_traceback_matches(&pairs, &Blosum62, GapPenalties::pastis_defaults());
+        prop_assert_eq!(promotions, 0);
+    }
+}
+
+/// Random sequences over the first `letters` residue codes, half of them
+/// point-mutated copies of a partner — the tie-heavy regime.
+fn small_alphabet_pairs(seed: u64, n_pairs: usize, letters: u8) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let draw = |rng: &mut StdRng, len: usize| -> Vec<u8> {
+        (0..len).map(|_| rng.gen_range(0..letters)).collect()
+    };
+    (0..n_pairs)
+        .map(|k| {
+            let q = {
+                let len = rng.gen_range(0..=40);
+                draw(&mut rng, len)
+            };
+            let r = if k % 2 == 0 {
+                let len = rng.gen_range(0..=40);
+                draw(&mut rng, len)
+            } else {
+                let mut r = q.clone();
+                for c in r.iter_mut() {
+                    if rng.gen_bool(0.25) {
+                        *c = rng.gen_range(0..letters);
+                    }
+                }
+                if !r.is_empty() && rng.gen_bool(0.5) {
+                    let at = rng.gen_range(0..r.len());
+                    r.remove(at);
+                }
+                r
+            };
+            (q, r)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Ties everywhere: ±small match/mismatch scores, cheap gap opens
+    /// (`open ∈ 0..=5`, so open-vs-extend and diag-vs-gap ties are common)
+    /// on 2–4-letter alphabets. Every tie must break exactly as
+    /// `sw_align`'s traceback breaks it.
+    #[test]
+    fn tie_heavy_scoring_breaks_ties_like_sw_align(
+        seed in 0u64..1_000_000_000,
+        n_pairs in 1usize..48,
+        letters in 2u8..=4,
+        match_score in 1i32..=3,
+        mismatch_score in -3i32..=-1,
+        open in 0i32..=5,
+        extend in 0i32..=2,
+    ) {
+        let pairs = small_alphabet_pairs(seed, n_pairs, letters);
+        let scoring = MatchMismatch { match_score, mismatch_score };
+        let promotions = assert_traceback_matches(&pairs, &scoring, GapPenalties { open, extend });
+        prop_assert_eq!(promotions, 0);
     }
 }
 
@@ -217,6 +360,7 @@ fn exhaustive_residue_pairings_match_scalar() {
         assert_eq!(got.scores, want, "{backend}");
         assert_eq!(got.promotions, 0, "{backend}");
     }
+    assert_eq!(assert_traceback_matches(&pairs, &Blosum62, g), 0);
 }
 
 /// Self-alignments whose optimal score lands exactly at i16 saturation ±1:
@@ -252,6 +396,92 @@ fn overflow_boundary_promotes_exactly_at_saturation() {
             );
         }
     }
+}
+
+/// The full-statistics lanes saturate at the same boundary: a pair whose
+/// optimal score is 32766 stays on the lanes, 32767 and 32768 are
+/// promoted to `sw_align` — and the promotions show in `BatchStats` and
+/// in the `align.lane_promotions` counter on every backend and thread
+/// count. Large match scores keep the pair short (33 matches around one
+/// mismatch), so the statistics of a non-trivial alignment are checked at
+/// the boundary too.
+#[test]
+fn traceback_lanes_promote_exactly_at_saturation() {
+    use pastis::trace::TraceSession;
+    // Gaps dearer than the mismatch, so the optimum runs through it.
+    let g = GapPenalties {
+        open: 900,
+        extend: 100,
+    };
+    let mut rng = StdRng::seed_from_u64(32767);
+    let mut q = vec![A; 34];
+    let mut r = vec![A; 34];
+    q[16] = 4;
+    r[16] = 3;
+    let mut pairs = vec![(q, r)];
+    // Companions of ≤ 30 residues score < 32766 under any scoring here.
+    for _ in 0..20 {
+        let q = biased_seq(&mut rng, 28);
+        let r = mutate(&mut rng, &q, 0.2);
+        pairs.push((q, r));
+    }
+    for (penalty, want_score, want_promotions) in
+        [(234, 32766, 0u64), (233, 32767, 1), (232, 32768, 1)]
+    {
+        let scoring = MatchMismatch {
+            match_score: 1000,
+            mismatch_score: -penalty,
+        };
+        let want = sw_align(&pairs[0].0, &pairs[0].1, &scoring, g);
+        assert_eq!(
+            (want.score, want.matches, want.mismatches),
+            (want_score, 33, 1)
+        );
+        assert_eq!(
+            assert_traceback_matches(&pairs, &scoring, g),
+            want_promotions,
+            "promotions at score {want_score}"
+        );
+        let (store, tasks) = as_tasks(&pairs);
+        for backend in SimdBackend::available() {
+            for threads in [1usize, 3] {
+                let session = TraceSession::new();
+                let rec = session.recorder(0);
+                let (_, stats) = AlignPool::new(threads)
+                    .with_simd(backend)
+                    .with_recorder(rec.clone())
+                    .run_traceback(&tasks, |id| store[id as usize], &scoring, g);
+                assert_eq!(
+                    stats.lane_promotions, want_promotions,
+                    "{backend} t{threads}"
+                );
+                assert_eq!(
+                    rec.counters().get("align.lane_promotions").copied(),
+                    Some(want_promotions as f64),
+                    "{backend} t{threads}: counter missing or wrong"
+                );
+            }
+        }
+    }
+}
+
+/// A task longer than the lane bound (4096 residues) skips the lanes: it
+/// takes the scalar `sw_align` fallback, is counted as a promotion, and
+/// its lane companions stay on the lanes.
+#[test]
+fn oversized_task_takes_the_scalar_fallback() {
+    let g = GapPenalties::pastis_defaults();
+    let mut rng = StdRng::seed_from_u64(4097);
+    let long = biased_seq(&mut rng, 4097);
+    let mut pairs = vec![(long[..60].to_vec(), long.clone())];
+    for _ in 0..5 {
+        let q = biased_seq(&mut rng, 50);
+        let r = mutate(&mut rng, &q, 0.1);
+        pairs.push((q, r));
+    }
+    assert_eq!(assert_traceback_matches(&pairs, &Blosum62, g), 1);
+    let (got, _) = traceback_on(SimdBackend::detect(), 1, &pairs, &Blosum62, g);
+    assert_eq!((got[0].r_begin, got[0].r_end), (0, 60), "prefix found");
 }
 
 /// Promotions are pair-intrinsic: packing a saturating pair next to small
@@ -336,10 +566,10 @@ fn graph_bits(res: &SearchResult) -> Vec<(u32, u32, i32, u32, u32, u32)> {
         .collect()
 }
 
-/// Whole-pipeline face of the contract on the chaos-test corpus: a
-/// score-only search run under every backend (forced scalar, forced each
-/// available backend, and auto) produces the bit-identical similarity
-/// graph.
+/// Whole-pipeline face of the contract on the chaos-test corpus: a search
+/// with the default full-statistics kernel and one with the score-only
+/// kernel, each run under every backend (forced scalar, forced each
+/// available backend, and auto), produce bit-identical similarity graphs.
 #[test]
 fn pipeline_graph_is_bit_identical_across_backends() {
     use pastis::align::SimdPolicy;
@@ -352,27 +582,32 @@ fn pipeline_graph_is_bit_identical_across_backends() {
         seed: 42,
         ..SyntheticConfig::small(40, 42)
     });
-    let base = SearchParams {
-        align_kind: AlignKind::ScoreOnly,
-        ..SearchParams::test_defaults()
-    }
-    .with_blocking(2, 2)
-    .with_align_threads(2);
-    let want = {
-        let params = base
-            .clone()
-            .with_simd(SimdPolicy::Force(SimdBackend::Scalar));
-        graph_bits(&run_search_serial(&ds.store, &params).unwrap())
-    };
-    assert!(
-        !want.is_empty(),
-        "reference graph is empty; test is vacuous"
-    );
-    let mut policies = vec![SimdPolicy::Auto];
-    policies.extend(SimdBackend::available().into_iter().map(SimdPolicy::Force));
-    for policy in policies {
-        let params = base.clone().with_simd(policy);
-        let got = graph_bits(&run_search_serial(&ds.store, &params).unwrap());
-        assert_eq!(got, want, "policy {policy:?} changed the graph");
+    for align_kind in [AlignKind::FullSw, AlignKind::ScoreOnly] {
+        let base = SearchParams {
+            align_kind,
+            ..SearchParams::test_defaults()
+        }
+        .with_blocking(2, 2)
+        .with_align_threads(2);
+        let want = {
+            let params = base
+                .clone()
+                .with_simd(SimdPolicy::Force(SimdBackend::Scalar));
+            graph_bits(&run_search_serial(&ds.store, &params).unwrap())
+        };
+        assert!(
+            !want.is_empty(),
+            "{align_kind:?}: reference graph is empty; test is vacuous"
+        );
+        let mut policies = vec![SimdPolicy::Auto];
+        policies.extend(SimdBackend::available().into_iter().map(SimdPolicy::Force));
+        for policy in policies {
+            let params = base.clone().with_simd(policy);
+            let got = graph_bits(&run_search_serial(&ds.store, &params).unwrap());
+            assert_eq!(
+                got, want,
+                "{align_kind:?}: policy {policy:?} changed the graph"
+            );
+        }
     }
 }
