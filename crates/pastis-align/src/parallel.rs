@@ -5,9 +5,9 @@
 //! nested levels, both provided here:
 //!
 //! * **A worker pool** ([`AlignPool`]): an `AlignTask` batch is split into
-//!   units that `t` scoped threads claim from a shared atomic counter
-//!   (dynamic self-scheduling, so ragged task costs balance), with results
-//!   re-assembled **in task order**. Every task is computed by the same
+//!   units that the rank's [`WorkPool`] threads claim from a shared atomic
+//!   counter (dynamic self-scheduling, so ragged task costs balance), with
+//!   results re-assembled **in task order**. Every task is computed by the same
 //!   kernel regardless of which worker claims it, so output is
 //!   bit-identical to the serial driver for any thread count — the same
 //!   determinism contract the SUMMA layer pins down.
@@ -32,7 +32,6 @@
 //! split — `seconds` sums worker busy time, `wall_seconds` is elapsed.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use pastis_pool::{Engine, WorkPool};
@@ -61,58 +60,47 @@ pub struct ScoreResult {
     pub cells: u64,
 }
 
-/// Persistent-for-the-batch worker pool executing alignment batches as
-/// atomically-claimed units across `t` threads.
+/// Alignment batch driver: executes batches as atomically-claimed units on
+/// a [`WorkPool`].
 #[derive(Debug, Clone)]
 pub struct AlignPool {
-    threads: usize,
     recorder: Recorder,
     simd: SimdBackend,
-    workers: Option<WorkPool>,
+    workers: WorkPool,
 }
 
 impl AlignPool {
-    /// A pool of `threads` workers; `0` means one per available core.
-    /// Telemetry is off until [`AlignPool::with_recorder`] attaches a
-    /// sink; the score-only vector backend defaults to the best one the
-    /// host supports ([`SimdBackend::detect`]).
+    /// A pool on its own [`WorkPool::sized`]`(threads)` (`threads` counts
+    /// the calling thread; `0` means one per available core). Telemetry is
+    /// off until [`AlignPool::with_recorder`] attaches a sink; the vector
+    /// backend defaults to the best one the host supports
+    /// ([`SimdBackend::detect`]).
     pub fn new(threads: usize) -> AlignPool {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
         AlignPool {
-            threads,
             recorder: Recorder::disabled(),
             simd: SimdBackend::detect(),
-            workers: None,
+            workers: WorkPool::sized(threads),
         }
     }
 
-    /// Submit batches to a shared [`WorkPool`] instead of spawning scoped
-    /// threads per batch: units become pool jobs an idle sparse worker can
-    /// steal (and vice versa), the pool's size supersedes this pool's own
-    /// thread knob, and per-unit `align.unit` spans land on
-    /// [`Track::PoolWorker`] sub-tracks. Results stay bit-identical — the
-    /// units and their unit-order reassembly are unchanged.
+    /// Run on a shared [`WorkPool`] instead of this pool's own: units
+    /// become jobs an idle sparse worker can steal (and vice versa).
+    /// Results stay bit-identical — the units and their unit-order
+    /// reassembly do not depend on the pool.
     pub fn with_workers(mut self, workers: WorkPool) -> AlignPool {
-        self.workers = Some(workers);
+        self.workers = workers;
         self
     }
 
-    /// The attached unified pool, if any.
-    pub fn workers(&self) -> Option<&WorkPool> {
-        self.workers.as_ref()
+    /// The work pool batches run on.
+    pub fn workers(&self) -> &WorkPool {
+        &self.workers
     }
 
-    /// Attach a telemetry recorder: each batch then emits one
-    /// `align.worker` span per claiming worker on its
-    /// [`Track::AlignWorker`] sub-track (occupancy view), tagged with the
-    /// units/pairs/cells that worker processed. Observation-only — results
-    /// are unchanged.
+    /// Attach a telemetry recorder: each unit then emits one `align.unit`
+    /// span on its executing thread's [`Track::PoolWorker`] sub-track,
+    /// tagged with the unit index and the pairs/cells it processed.
+    /// Observation-only — results are unchanged.
     pub fn with_recorder(mut self, recorder: Recorder) -> AlignPool {
         self.recorder = recorder;
         self
@@ -128,9 +116,10 @@ impl AlignPool {
         self
     }
 
-    /// Worker count this pool dispatches to.
+    /// Threads that may run one batch: the pool's alignment-capped
+    /// workers plus the calling thread.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.engine_threads(Engine::Align)
     }
 
     /// Vector backend traceback and score-only batches dispatch through.
@@ -315,96 +304,19 @@ impl AlignPool {
     }
 
     /// Dynamic self-scheduling core: `run_unit(u, &mut local_stats)` is
-    /// called exactly once for each `u < n_units`, by whichever worker
-    /// claims `u` from the shared counter. Returns per-unit payloads in
-    /// unit order plus merged stats (busy-time sum in `seconds`, elapsed
-    /// in `wall_seconds`).
+    /// called exactly once for each `u < n_units`, by whichever pool
+    /// worker (or the submitting thread) claims `u` — including workers
+    /// that just finished sparse chunks. Returns per-unit payloads in unit
+    /// order plus merged stats (busy-time sum in `seconds`, elapsed in
+    /// `wall_seconds`); the merge runs in unit order, so the totals are
+    /// identical for every pool.
     fn execute_units<P, F>(&self, n_units: usize, run_unit: F) -> (Vec<P>, BatchStats)
     where
         P: Send,
         F: Fn(usize, &mut BatchStats) -> P + Sync,
     {
         let wall = Instant::now();
-        if let Some(wp) = &self.workers {
-            return self.execute_units_pooled(wp, n_units, run_unit, wall);
-        }
-        let workers = self.threads.min(n_units.max(1));
-        let (payloads, mut stats) = if workers <= 1 {
-            let busy = Instant::now();
-            let mut span = self.worker_span(0);
-            let mut local = BatchStats::default();
-            let out = (0..n_units).map(|u| run_unit(u, &mut local)).collect();
-            local.seconds = busy.elapsed().as_secs_f64();
-            if let Some(span) = span.as_mut() {
-                tag_worker_span(span, n_units as u64, &local);
-            }
-            (out, local)
-        } else {
-            let next = AtomicUsize::new(0);
-            let worker = |w: u32| {
-                let busy = Instant::now();
-                let mut span = self.worker_span(w);
-                let mut local = BatchStats::default();
-                let mut out = Vec::new();
-                loop {
-                    let u = next.fetch_add(1, Ordering::Relaxed);
-                    if u >= n_units {
-                        break;
-                    }
-                    out.push((u, run_unit(u, &mut local)));
-                }
-                local.seconds = busy.elapsed().as_secs_f64();
-                if let Some(span) = span.as_mut() {
-                    tag_worker_span(span, out.len() as u64, &local);
-                }
-                (out, local)
-            };
-            // The calling thread is worker 0, so `threads = t` occupies
-            // exactly t OS threads — important under pre-blocking, where a
-            // concurrent sparse thread already owns the communicator.
-            std::thread::scope(|scope| {
-                let worker = &worker;
-                let handles: Vec<_> = (1..workers)
-                    .map(|w| scope.spawn(move || worker(w as u32)))
-                    .collect();
-                let mut tagged: Vec<(usize, P)> = Vec::with_capacity(n_units);
-                let (own_out, own_local) = worker(0);
-                tagged.extend(own_out);
-                let mut merged = own_local;
-                for h in handles {
-                    let (out, local) = h.join().expect("alignment worker panicked");
-                    tagged.extend(out);
-                    merged.pairs += local.pairs;
-                    merged.cells += local.cells;
-                    merged.max_cells = merged.max_cells.max(local.max_cells);
-                    merged.lane_promotions += local.lane_promotions;
-                    merged.seconds += local.seconds;
-                }
-                tagged.sort_unstable_by_key(|&(u, _)| u);
-                (tagged.into_iter().map(|(_, p)| p).collect(), merged)
-            })
-        };
-        stats.wall_seconds = wall.elapsed().as_secs_f64();
-        (payloads, stats)
-    }
-
-    /// [`AlignPool::execute_units`] on the unified pool: each unit is a
-    /// claimable pool job unit, run by whichever pool worker (or the
-    /// submitting thread) takes it — including workers that just finished
-    /// sparse chunks. Per-unit payload/stat pairs come back in unit order,
-    /// so the merge below reproduces the scoped path's totals exactly.
-    fn execute_units_pooled<P, F>(
-        &self,
-        wp: &WorkPool,
-        n_units: usize,
-        run_unit: F,
-        wall: Instant,
-    ) -> (Vec<P>, BatchStats)
-    where
-        P: Send,
-        F: Fn(usize, &mut BatchStats) -> P + Sync,
-    {
-        let unit_out: Vec<(P, BatchStats)> = wp.run(Engine::Align, n_units, |u, slot| {
+        let unit_out: Vec<(P, BatchStats)> = self.workers.run(Engine::Align, n_units, |u, slot| {
             let busy = Instant::now();
             let mut span = self.recorder.is_enabled().then(|| {
                 self.recorder
@@ -436,26 +348,6 @@ impl AlignPool {
         merged.wall_seconds = wall.elapsed().as_secs_f64();
         (payloads, merged)
     }
-
-    /// Open worker `w`'s occupancy span on its sub-track, or `None` with
-    /// telemetry disabled (skipping even the guard construction).
-    fn worker_span(&self, w: u32) -> Option<pastis_trace::SpanGuard> {
-        if !self.recorder.is_enabled() {
-            return None;
-        }
-        Some(
-            self.recorder
-                .span(Component::Align, names::SPAN_ALIGN_WORKER)
-                .on_track(Track::AlignWorker(w)),
-        )
-    }
-}
-
-/// Attach the per-worker outcome counters to its occupancy span.
-fn tag_worker_span(span: &mut pastis_trace::SpanGuard, units: u64, local: &BatchStats) {
-    span.push_arg("units", units);
-    span.push_arg("pairs", local.pairs);
-    span.push_arg("cells", local.cells);
 }
 
 fn chunk_range(unit: usize, total: usize) -> Range<usize> {
@@ -773,58 +665,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_pool_emits_worker_occupancy_spans() {
-        use pastis_trace::TraceSession;
-        let seqs = random_store(10, 48, 12);
-        let tasks = random_tasks(10, 200, 13);
-        let g = GapPenalties::pastis_defaults();
-        let (want, want_stats) =
-            AlignPool::new(3).run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
-
-        let session = TraceSession::new();
-        let rec = session.recorder(0);
-        let pool = AlignPool::new(3).with_recorder(rec.clone());
-        let (got, stats) = pool.run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
-
-        // Observation-only: results and merged counters are unchanged.
-        assert_eq!(got, want);
-        assert_eq!(stats.pairs, want_stats.pairs);
-        assert_eq!(stats.cells, want_stats.cells);
-
-        let spans = rec.snapshot_spans();
-        // 200 tasks in lanes of ≤ 16 = ≥ 13 units ≥ 3 workers, so all 3
-        // workers participate and each emits exactly one span on its own
-        // sub-track.
-        assert_eq!(spans.len(), 3);
-        let mut tracks: Vec<Track> = spans.iter().map(|s| s.track).collect();
-        tracks.sort_by_key(|t| t.tid());
-        assert_eq!(
-            tracks,
-            vec![
-                Track::AlignWorker(0),
-                Track::AlignWorker(1),
-                Track::AlignWorker(2)
-            ]
-        );
-        // Per-worker tallies sum to the batch totals.
-        let arg = |s: &pastis_trace::SpanEvent, k: &str| {
-            s.args
-                .iter()
-                .find(|(n, _)| *n == k)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
-        let pairs: u64 = spans.iter().map(|s| arg(s, "pairs")).sum();
-        let cells: u64 = spans.iter().map(|s| arg(s, "cells")).sum();
-        let units: u64 = spans.iter().map(|s| arg(s, "units")).sum();
-        assert_eq!(pairs, stats.pairs);
-        assert_eq!(cells, stats.cells);
-        let lanes = SimdBackend::detect().lanes() as u64;
-        assert_eq!(units, 200u64.div_ceil(lanes));
-    }
-
-    #[test]
-    fn serial_traced_pool_uses_worker_zero_track() {
+    fn serial_traced_pool_runs_units_on_the_caller_track() {
         use pastis_trace::TraceSession;
         let seqs = random_store(6, 30, 14);
         let tasks = random_tasks(6, 10, 15);
@@ -833,10 +674,15 @@ mod tests {
         let pool = AlignPool::new(1).with_recorder(rec.clone());
         let g = GapPenalties::pastis_defaults();
         let _ = pool.run_score_only(&tasks, |id| &seqs[id as usize], &Blosum62, g);
+        // A one-thread pool has no persistent workers: every unit runs on
+        // the submitting thread's slot.
+        let caller = Track::PoolWorker(pool.workers().caller_slot(Engine::Align) as u32);
         let spans = rec.snapshot_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].track, Track::AlignWorker(0));
-        assert_eq!(spans[0].name, names::SPAN_ALIGN_WORKER);
+        assert!(!spans.is_empty());
+        for s in &spans {
+            assert_eq!(s.name, names::SPAN_ALIGN_UNIT);
+            assert_eq!(s.track, caller);
+        }
     }
 
     #[test]
@@ -852,7 +698,7 @@ mod tests {
             AlignPool::new(1).run_banded(&tasks, |id| &seqs[id as usize], &Blosum62, g, 5);
         for workers in [0usize, 1, 3] {
             let pool = AlignPool::new(1).with_workers(WorkPool::with_exact_workers(workers));
-            assert!(pool.workers().is_some());
+            assert_eq!(pool.workers().threads(), workers);
             let (tb, tb_stats) = pool.run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
             assert_eq!(tb, want_tb, "workers={workers}");
             assert_eq!(tb_stats.pairs, want_tb_stats.pairs, "workers={workers}");

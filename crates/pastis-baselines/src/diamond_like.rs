@@ -27,8 +27,8 @@ use pastis_core::checkpoint::{digest_bytes, digest_u64};
 use pastis_core::filter::EdgeFilter;
 use pastis_core::kmer::distinct_kmers;
 use pastis_core::simgraph::{SimilarityEdge, SimilarityGraph};
+use pastis_pool::{Engine, WorkPool};
 use pastis_seqio::{ReducedAlphabet, SeqStore};
-use pastis_sparse::run_units;
 use pastis_trace::{names, span, Component, Recorder, TraceSession};
 
 use crate::ckpt::{self, BaselineCheckpoint};
@@ -165,6 +165,7 @@ fn run_inner(
     let mut spilled_bytes = 0u64;
     // Per query chunk: the spilled intermediates awaiting the final join.
     let mut spill: Vec<Vec<Intermediate>> = (0..qdist.parts).map(|_| Vec::new()).collect();
+    let seed_pool = WorkPool::sized(cfg.seed_threads);
 
     // --- Package phase: every (query chunk, ref chunk) pair.
     for (qc, spill_qc) in spill.iter_mut().enumerate() {
@@ -193,7 +194,7 @@ fn run_inner(
             // pool unit per query, stitched back in query order, so the
             // spill stream (and the cap's victims) are identical for
             // every worker count.
-            let per_query = run_units(cfg.seed_threads, q1 - q0, |_w, u| {
+            let per_query = seed_pool.run(Engine::Sparse, q1 - q0, |u, _slot| {
                 let q = q0 + u;
                 let mut hits: HashMap<u32, u32> = HashMap::new();
                 for (kmer, _) in distinct_kmers(store.seq(q), cfg.k, cfg.alphabet) {

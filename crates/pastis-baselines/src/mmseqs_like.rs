@@ -21,8 +21,8 @@ use pastis_core::checkpoint::{digest_bytes, digest_u64, write_atomic};
 use pastis_core::filter::EdgeFilter;
 use pastis_core::kmer::distinct_kmers;
 use pastis_core::simgraph::{SimilarityEdge, SimilarityGraph};
+use pastis_pool::{Engine, WorkPool};
 use pastis_seqio::{ReducedAlphabet, SeqStore};
-use pastis_sparse::run_units;
 use pastis_trace::{names, span, Component, Recorder, TraceSession};
 
 use crate::ckpt::{self, BaselineCheckpoint};
@@ -324,6 +324,7 @@ fn run_inner(
     let mut prefilter_candidates = 0u64;
     let mut aligned_pairs = 0u64;
     let mut index_bytes_per_rank = 0u64;
+    let prefilter_pool = WorkPool::sized(cfg.prefilter_threads);
 
     // One checkpoint unit = one simulated rank (they execute serially).
     let ckpt_dir = cfg.checkpoint_dir.as_deref();
@@ -422,7 +423,7 @@ fn run_inner(
         // list — and everything downstream — is identical for every
         // worker count.
         let queries: Vec<usize> = scan.collect();
-        let per_query = run_units(cfg.prefilter_threads, queries.len(), |_w, u| {
+        let per_query = prefilter_pool.run(Engine::Sparse, queries.len(), |u, _slot| {
             let q = queries[u];
             // Count shared k-mers per target via the index.
             let mut hits: HashMap<u32, u32> = HashMap::new();

@@ -5,7 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pastis_core::overlap::OverlapSemiring;
-use pastis_sparse::{spgemm_hash, spgemm_heap, spgemm_parallel, CsrMatrix, PlusTimes, Triples};
+use pastis_sparse::{
+    spgemm_hash, spgemm_heap, CsrMatrix, PlusTimes, SpGemmKind, SpGemmPool, Triples,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,8 +50,9 @@ fn bench_parallel_kernel(c: &mut Criterion) {
     let a = random_matrix(512, 512, 16, 1);
     let b = random_matrix(512, 512, 16, 2);
     for &threads in &[1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |bch, &t| {
-            bch.iter(|| spgemm_parallel(&PlusTimes::<f64>::new(), &a, &b, t))
+        let pool = SpGemmPool::new(threads).with_kind(SpGemmKind::Parallel);
+        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |bch, _| {
+            bch.iter(|| pool.multiply(&PlusTimes::<f64>::new(), &a, &b))
         });
     }
     group.finish();

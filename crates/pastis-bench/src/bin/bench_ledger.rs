@@ -169,24 +169,6 @@ fn main() {
         &[("n_seqs", e2e_n as f64), ("reps", reps as f64)],
     );
 
-    // e2e/search_tuned: the pipeline on a 2-thread unified pool with the
-    // self-tuning loop closed (`--tune auto`: cost-model seed + telemetry
-    // re-splits between stages). The delta against e2e/search_serial
-    // bundles the pool and the tuner; the ledger tracks that it stays flat.
-    let tuned_params = bench_params()
-        .with_blocking(2, 2)
-        .with_threads(2)
-        .with_tune(pastis_core::TunePolicy::Auto);
-    let tuned_s = best_of(reps, || {
-        run_search_serial(&e2e_ds.store, &tuned_params).unwrap()
-    });
-    ledger.push(
-        "e2e/search_tuned",
-        "e2e",
-        tuned_s,
-        &[("n_seqs", e2e_n as f64), ("reps", reps as f64)],
-    );
-
     // e2e/search_budgeted: the same pipeline blocked 3x3 under a hard
     // memory budget at 3/4 of its own unconstrained peak, so completed
     // output blocks and index stripes spill through the accountant and

@@ -54,4 +54,4 @@ pub use grid::ProcessGrid;
 pub use local::SelfComm;
 pub use threaded::{run_threaded, run_threaded_with, CommConfig, ThreadedComm};
 pub use traced::TracedComm;
-pub use vclock::{Component, ImbalanceStats, TimeBreakdown, VirtualClock};
+pub use vclock::{Component, ImbalanceStats, TimeBreakdown};

@@ -1,10 +1,10 @@
-//! Virtual clocks, component time breakdowns, and imbalance statistics.
+//! Component time breakdowns and imbalance statistics.
 //!
 //! Section VII of the paper ("How performance was measured") describes three
 //! reporting mechanisms: component timers, alignments/second, and cell
 //! updates/second, with load imbalance captured as the minimum / average /
 //! maximum per-process time in a component. This module is the Rust
-//! counterpart: [`VirtualClock`] accumulates per-rank time by
+//! counterpart: [`TimeBreakdown`] accumulates per-rank time by
 //! [`Component`], and [`ImbalanceStats`] condenses a per-rank metric into
 //! the min/avg/max triples plotted in Figure 7.
 
@@ -121,63 +121,6 @@ impl fmt::Display for TimeBreakdown {
     }
 }
 
-/// A per-rank virtual clock for the performance-model plane.
-///
-/// Each virtual rank advances its own clock by modeled durations; a
-/// bulk-synchronous step then advances every rank to the maximum (stragglers
-/// gate the step), which is exactly how component times compose in an SPMD
-/// program with barriers between phases.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct VirtualClock {
-    now: f64,
-    breakdown: TimeBreakdown,
-}
-
-impl VirtualClock {
-    /// A clock at time zero.
-    pub fn new() -> VirtualClock {
-        VirtualClock::default()
-    }
-
-    /// Current virtual time in seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advance by `dt` seconds attributed to component `c`.
-    pub fn advance(&mut self, c: Component, dt: f64) {
-        debug_assert!(dt >= 0.0);
-        self.now += dt;
-        self.breakdown.record(c, dt);
-    }
-
-    /// Advance to absolute time `t` (no-op if already past), attributing
-    /// the skipped interval to `c` — used to model barrier waits.
-    pub fn advance_to(&mut self, c: Component, t: f64) {
-        if t > self.now {
-            let dt = t - self.now;
-            self.now = t;
-            self.breakdown.record(c, dt);
-        }
-    }
-
-    /// Per-component accumulated time.
-    pub fn breakdown(&self) -> &TimeBreakdown {
-        &self.breakdown
-    }
-}
-
-/// Synchronize a set of virtual rank clocks at a barrier: every clock jumps
-/// to the maximum `now`, with waiting time attributed to `wait_component`.
-/// Returns the barrier time.
-pub fn barrier_sync(clocks: &mut [VirtualClock], wait_component: Component) -> f64 {
-    let t = clocks.iter().map(VirtualClock::now).fold(0.0, f64::max);
-    for c in clocks.iter_mut() {
-        c.advance_to(wait_component, t);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,39 +149,6 @@ mod tests {
         let mx = a.max_combine(&b);
         assert_eq!(mx.get(Component::Align), 3.0);
         assert_eq!(mx.get(Component::Io), 2.0);
-    }
-
-    #[test]
-    fn clock_advances_and_attributes() {
-        let mut c = VirtualClock::new();
-        c.advance(Component::Io, 1.0);
-        c.advance(Component::Align, 2.0);
-        assert_eq!(c.now(), 3.0);
-        assert_eq!(c.breakdown().get(Component::Io), 1.0);
-        c.advance_to(Component::CommWait, 2.5); // already past: no-op
-        assert_eq!(c.now(), 3.0);
-        c.advance_to(Component::CommWait, 5.0);
-        assert_eq!(c.now(), 5.0);
-        assert_eq!(c.breakdown().get(Component::CommWait), 2.0);
-    }
-
-    #[test]
-    fn barrier_lifts_all_clocks_to_max() {
-        let mut clocks = vec![
-            VirtualClock::new(),
-            VirtualClock::new(),
-            VirtualClock::new(),
-        ];
-        clocks[0].advance(Component::Align, 1.0);
-        clocks[1].advance(Component::Align, 4.0);
-        clocks[2].advance(Component::Align, 2.0);
-        let t = barrier_sync(&mut clocks, Component::CommWait);
-        assert_eq!(t, 4.0);
-        for c in &clocks {
-            assert_eq!(c.now(), 4.0);
-        }
-        assert_eq!(clocks[0].breakdown().get(Component::CommWait), 3.0);
-        assert_eq!(clocks[1].breakdown().get(Component::CommWait), 0.0);
     }
 
     #[test]

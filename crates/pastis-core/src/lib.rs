@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod checkpoint;
 pub mod distcc;
 pub mod filter;
@@ -50,7 +49,6 @@ pub mod stats;
 pub mod straggler;
 pub mod subkmers;
 
-pub use autotune::{FixedSpec, TuneKnobs, TunePolicy, TuneSnapshot};
 pub use checkpoint::{
     run_fingerprint, Checkpoint, IndexShard, SpillShard, CHECKPOINT_SCHEMA_VERSION,
     SPILL_SCHEMA_VERSION,

@@ -18,9 +18,8 @@
 //! wall-time-only knobs, so a budgeted run is bit-identical to an
 //! unbudgeted one.
 //!
-//! Counters are relaxed atomics: reservations happen on the rank thread
-//! and on scoped compute threads (the staged-broadcast hook), and the
-//! high-water mark is a monotonic max, so exact interleavings only affect
+//! Counters are relaxed atomics: the accountant is shared and may be
+//! charged from more than one thread, and the high-water mark is a monotonic max, so exact interleavings only affect
 //! which equal peak is recorded, never correctness.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -181,24 +180,9 @@ impl MemBudget {
     }
 }
 
-impl pastis_sparse::StageMemHook for MemBudget {
-    fn on_stage_alloc(&self, bytes: u64) {
-        // Staged broadcast buffers are short-lived and required for the
-        // collective to proceed, so they reserve unconditionally — the
-        // pipeline's *pre-block* pressure check (pause prefetch) is what
-        // keeps their footprint down.
-        self.reserve_unchecked(bytes);
-    }
-
-    fn on_stage_free(&self, bytes: u64) {
-        self.release(bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pastis_sparse::StageMemHook;
 
     #[test]
     fn unbudgeted_tracks_high_water_only() {
@@ -243,16 +227,6 @@ mod tests {
     fn release_saturates_at_zero() {
         let m = MemBudget::new(Some(10));
         m.release(5);
-        assert_eq!(m.live(), 0);
-    }
-
-    #[test]
-    fn stage_hook_reserves_and_releases() {
-        let m = MemBudget::new(Some(10));
-        m.on_stage_alloc(25);
-        assert_eq!(m.live(), 25, "stage buffers reserve unconditionally");
-        assert_eq!(m.high_water(), 25);
-        m.on_stage_free(25);
         assert_eq!(m.live(), 0);
     }
 

@@ -8,10 +8,10 @@ use std::path::PathBuf;
 
 use pastis_align::sw::GapPenalties;
 use pastis_align::SimdPolicy;
+use pastis_pool::{Engine, WorkPool};
 use pastis_seqio::ReducedAlphabet;
 use pastis_sparse::SpGemmKind;
 
-use crate::autotune::TunePolicy;
 use crate::loadbalance::LoadBalance;
 
 /// Which alignment kernel the pipeline uses on candidate pairs.
@@ -57,9 +57,11 @@ pub struct SearchParams {
     pub gaps: GapPenalties,
     /// Alignment kernel.
     pub align_kind: AlignKind,
-    /// Worker threads of the intra-rank batch-alignment pool (Section
-    /// IV-D's ADEPT driver analog). `1` aligns on the calling thread;
-    /// `0` uses one worker per available core. The similarity graph is
+    /// Threads that may run one alignment batch (Section IV-D's ADEPT
+    /// driver analog), counting the submitting thread. `1` aligns on the
+    /// calling thread; `0` uses one thread per available core. Without
+    /// `threads` this sizes the rank's work pool and caps its alignment
+    /// side ([`SearchParams::work_pool`]). The similarity graph is
     /// bit-identical for every value — only wall time changes.
     pub align_threads: usize,
     /// Vector backend of the lane alignment kernels (`--simd`): the
@@ -68,25 +70,27 @@ pub struct SearchParams {
     /// backend fails validation. Like `align_threads`, the similarity
     /// graph is bit-identical for every choice — only throughput changes.
     pub simd: SimdPolicy,
-    /// Worker threads of the intra-rank local SpGEMM pool used inside each
-    /// SUMMA stage (`--spgemm-threads`). `1` multiplies on the calling
-    /// thread; `0` uses one worker per available core. The overlap matrix
-    /// — and therefore the whole similarity graph — is bit-identical for
-    /// every value; only wall time changes.
+    /// Threads that may run one local SpGEMM inside a SUMMA stage
+    /// (`--spgemm-threads`), counting the submitting thread. `1`
+    /// multiplies on the calling thread; `0` uses one thread per available
+    /// core. Without `threads` this sizes the rank's work pool and caps its
+    /// SpGEMM side ([`SearchParams::work_pool`]). The overlap matrix — and
+    /// therefore the whole similarity graph — is bit-identical for every
+    /// value; only wall time changes.
     pub spgemm_threads: usize,
     /// Local SpGEMM kernel-selection policy (`--spgemm`). `Auto` picks
     /// hash/heap/parallel per multiplication from a compression-factor
     /// heuristic; the kernels share one combine-order contract, so the
     /// output is bit-identical for every choice.
     pub spgemm: SpGemmKind,
-    /// Size of the unified intra-rank worker pool shared by the sparse and
-    /// alignment engines (`--threads`). `None` keeps the legacy static
-    /// split (`align_threads` / `spgemm_threads` each own their scoped
-    /// team); `Some(n)` runs both engines through one pool of `n` threads
-    /// total — `n - 1` persistent workers plus the submitting thread — so
-    /// idle sparse workers steal alignment units and vice versa. `Some(0)`
-    /// sizes the pool at one thread per available core. The similarity
-    /// graph is bit-identical either way — only wall time changes.
+    /// Size of the intra-rank work pool shared by the sparse and alignment
+    /// engines (`--threads`): `Some(n)` is one pool of `n` threads total —
+    /// `n - 1` persistent workers plus the submitting thread — so idle
+    /// sparse workers steal alignment units and vice versa. `Some(0)`
+    /// sizes the pool at one thread per available core. `None` derives
+    /// the pool from `align_threads` / `spgemm_threads` instead
+    /// ([`SearchParams::work_pool`]). The similarity graph is
+    /// bit-identical either way — only wall time changes.
     pub threads: Option<usize>,
     /// With the unified pool, an upper bound on how many pool workers may
     /// serve alignment units concurrently (`None` = uncapped). This is the
@@ -146,14 +150,6 @@ pub struct SearchParams {
     /// (spilling is the budget's relief valve). Robustness knob — never
     /// affects the output.
     pub spill_dir: Option<PathBuf>,
-    /// Self-tuning policy (`--tune`). `Off` leaves every knob as passed;
-    /// `Auto` seeds the engine split from the cost model and re-splits
-    /// caps / lookahead mid-run from collectively-reduced telemetry;
-    /// `Fixed(spec)` applies a hand-tuned spec once. Scheduling knob —
-    /// every policy produces a bit-identical similarity graph; only wall
-    /// time changes. Excluded from the checkpoint fingerprint for the
-    /// same reason threads/caps/overlap are.
-    pub tune: TunePolicy,
     /// Seeded fault-injection plan applied to spill-shard writes (the
     /// `spill_*` keys of the `--fault` spec). Reads verify CRCs and fall
     /// back to recomputing the affected block, so the output stays
@@ -191,7 +187,6 @@ impl Default for SearchParams {
             straggler_factor: Some(3.0),
             mem_budget: None,
             spill_dir: None,
-            tune: TunePolicy::Off,
             spill_faults: None,
         }
     }
@@ -319,16 +314,41 @@ impl SearchParams {
         self
     }
 
-    /// Set the self-tuning policy, builder style.
-    pub fn with_tune(mut self, tune: TunePolicy) -> SearchParams {
-        self.tune = tune;
-        self
-    }
-
     /// Set the spill-write fault-injection plan, builder style.
     pub fn with_spill_faults(mut self, plan: pastis_comm::FaultPlan) -> SearchParams {
         self.spill_faults = Some(plan);
         self
+    }
+
+    /// The rank's intra-rank work pool, shared by SpGEMM and alignment.
+    ///
+    /// With `threads` it is [`WorkPool::sized`]`(threads)` with the explicit
+    /// per-engine caps. Without it the pool keeps the per-engine flags'
+    /// meaning: it is sized to the larger of `align_threads` and
+    /// `spgemm_threads`, and each engine is capped so that one job runs on
+    /// at most its own count of threads, the submitting thread included.
+    /// The default (both 1) is a pool without persistent workers — the
+    /// serial run.
+    pub fn work_pool(&self) -> WorkPool {
+        match self.threads {
+            Some(t) => {
+                let wp = WorkPool::sized(t);
+                wp.set_cap(Engine::Align, self.align_cap);
+                wp.set_cap(Engine::Sparse, self.spgemm_cap);
+                wp
+            }
+            None => {
+                let resolve = |t: usize| match t {
+                    0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                    t => t,
+                };
+                let (align, sparse) = (resolve(self.align_threads), resolve(self.spgemm_threads));
+                let wp = WorkPool::sized(align.max(sparse));
+                wp.set_cap(Engine::Align, Some(align - 1));
+                wp.set_cap(Engine::Sparse, Some(sparse - 1));
+                wp
+            }
+        }
     }
 
     /// Number of k-mer columns of the sequences-by-k-mers matrix.
@@ -370,14 +390,6 @@ impl SearchParams {
         }
         if self.threads.is_none() && (self.align_cap.is_some() || self.spgemm_cap.is_some()) {
             return Err("per-engine caps require the unified pool (--threads)".into());
-        }
-        if let TunePolicy::Fixed(spec) = &self.tune {
-            // Same contradiction as explicit caps without a pool.
-            if self.threads.is_none() && (spec.spgemm_cap.is_some() || spec.align_cap.is_some()) {
-                return Err(
-                    "--tune fixed: engine caps require the unified pool (--threads)".into(),
-                );
-            }
         }
         self.simd.resolve()?;
         if let Some(f) = self.straggler_factor {
@@ -611,26 +623,33 @@ mod tests {
     }
 
     #[test]
-    fn tune_policy_defaults_off_and_validates() {
-        let p = SearchParams::default();
-        assert_eq!(p.tune, TunePolicy::Off);
-        assert!(p.validate().is_ok());
-        // Auto needs nothing else: without --threads it can still pick
-        // blocking/batches; the cap re-split just has no pool to act on.
-        assert!(SearchParams::default()
-            .with_tune(TunePolicy::Auto)
-            .validate()
-            .is_ok());
-        // A fixed spec with engine caps mirrors the caps-require-threads
-        // rule.
-        let spec = TunePolicy::parse("fixed:spgemm=2,align=2").unwrap();
-        let bad = SearchParams::default().with_tune(spec.clone());
-        assert!(bad.validate().unwrap_err().contains("--threads"));
-        let ok = SearchParams::default().with_threads(4).with_tune(spec);
-        assert!(ok.validate().is_ok());
-        // A lookahead/batch-only spec is fine without a pool.
-        let la = TunePolicy::parse("fixed:lookahead=0,batch=64").unwrap();
-        assert!(SearchParams::default().with_tune(la).validate().is_ok());
+    fn work_pool_keeps_the_legacy_thread_counts() {
+        // Without --threads: sized to the larger count, each engine capped
+        // so it runs on at most its own count of threads (caller included).
+        let wp = SearchParams::default()
+            .with_align_threads(3)
+            .with_spgemm_threads(2)
+            .work_pool();
+        assert_eq!(wp.threads(), 2);
+        assert_eq!(wp.engine_threads(Engine::Align), 3);
+        assert_eq!(wp.engine_threads(Engine::Sparse), 2);
+        // The default run stays serial: no persistent workers at all.
+        let serial = SearchParams::default().work_pool();
+        assert_eq!(serial.threads(), 0);
+        assert_eq!(serial.engine_threads(Engine::Align), 1);
+        // 0 still means one thread per core.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let auto = SearchParams::default().with_align_threads(0).work_pool();
+        assert_eq!(auto.engine_threads(Engine::Align), cores);
+        assert_eq!(auto.engine_threads(Engine::Sparse), 1);
+        // With --threads: the pool size, caps as given.
+        let wp = SearchParams::default()
+            .with_threads(4)
+            .with_align_cap(1)
+            .work_pool();
+        assert_eq!(wp.threads(), 3);
+        assert_eq!(wp.engine_threads(Engine::Align), 2);
+        assert_eq!(wp.engine_threads(Engine::Sparse), 4);
     }
 
     #[test]

@@ -45,12 +45,10 @@ use pastis_align::batch::AlignTask;
 use pastis_align::matrices::Blosum62;
 use pastis_align::parallel::AlignPool;
 use pastis_comm::MachineModel;
-use pastis_pool::{Engine as PoolEngine, WorkPool};
 use pastis_seqio::SeqStore;
 use pastis_sparse::{CsrMatrix, SpGemmPool, Triples};
 use pastis_trace::{names, span, Component, Recorder, SpanGuard};
 
-use crate::autotune::{self, TunePolicy};
 use crate::filter::{candidate_passes, EdgeFilter};
 use crate::index::{store_digest, PersistedIndex};
 use crate::kmer::kmer_matrix_triples;
@@ -139,24 +137,6 @@ impl AdmissionBatcher {
             let n = self.queue.len().min(self.full_batch());
             self.drain(n)
         })
-    }
-
-    /// The current batch-size cap.
-    pub fn max_batch(&self) -> usize {
-        self.cfg.max_batch
-    }
-
-    /// The configured lane count.
-    pub fn lanes(&self) -> usize {
-        self.cfg.lanes
-    }
-
-    /// Re-size the batch cap between batches (clamped to ≥ 1) — the
-    /// autotuner's serve-side knob. Batch boundaries never affect
-    /// results (see module docs), so this is always output-safe; queued
-    /// queries are unaffected until the next emission check.
-    pub fn set_max_batch(&mut self, max_batch: usize) {
-        self.cfg.max_batch = max_batch.max(1);
     }
 
     /// End-of-stream drain: emit the next batch regardless of deadlines;
@@ -578,16 +558,11 @@ pub fn serve_queries_traced(
         .resolve()
         .expect("validate() checked the SIMD policy");
     let lanes = simd_backend.lanes();
-    // Batch-size precedence: a hand-tuned `fixed:batch=` spec, then an
-    // explicit `--batch`, then the cost model's recommendation. All are
-    // output-safe — results never depend on batch boundaries.
-    let fixed_batch = match &params.tune {
-        TunePolicy::Fixed(spec) => spec.batch,
-        _ => None,
-    };
-    let max_batch = match (fixed_batch, cfg.max_batch) {
-        (Some(b), _) => b,
-        (None, b) if b > 0 => b,
+    // Batch size: an explicit `--batch`, else the cost model's
+    // recommendation. Both are output-safe — results never depend on
+    // batch boundaries.
+    let max_batch = match cfg.max_batch {
+        b if b > 0 => b,
         _ => crate::perfmodel::recommended_serve_batch(
             &MachineModel::commodity(),
             lanes,
@@ -600,37 +575,16 @@ pub fn serve_queries_traced(
         max_batch,
         max_wait_us: cfg.max_wait_us,
     });
-    // `--tune auto`: adapt the admission batch between batches from each
-    // batch's observed wall time (see [`crate::autotune::adapt_serve_batch`]).
-    // The serve conformance tests prove output is identical for every
-    // batch size, so adaptation can never change an answer.
-    let serve_tune = params.tune.is_auto().then(|| {
-        recorder.add_counter(names::CTR_TUNE_SERVE_BATCH, max_batch as f64);
-        (
-            autotune::serve_batch_target_us(&MachineModel::commodity()),
-            4096usize,
-        )
-    });
-
-    // The same unified/per-engine worker-pool setup as the batch pipeline.
-    let unified = params.threads.map(|t| {
-        let wp = WorkPool::sized(t);
-        wp.set_cap(PoolEngine::Align, params.align_cap);
-        wp.set_cap(PoolEngine::Sparse, params.spgemm_cap);
-        wp
-    });
-    let mut spgemm = SpGemmPool::new(params.spgemm_threads)
+    // The same work-pool setup as the batch pipeline.
+    let workers = params.work_pool();
+    let spgemm = SpGemmPool::new(1)
         .with_kind(params.spgemm)
-        .with_recorder(recorder.clone());
-    if let Some(wp) = &unified {
-        spgemm = spgemm.with_workers(wp.clone());
-    }
-    let mut align = AlignPool::new(params.align_threads)
         .with_recorder(recorder.clone())
-        .with_simd(simd_backend);
-    if let Some(wp) = &unified {
-        align = align.with_workers(wp.clone());
-    }
+        .with_workers(workers.clone());
+    let align = AlignPool::new(1)
+        .with_recorder(recorder.clone())
+        .with_simd(simd_backend)
+        .with_workers(workers);
     let mut engine = BatchEngine {
         index,
         queries,
@@ -663,10 +617,7 @@ pub fn serve_queries_traced(
     let epoch = Instant::now();
 
     // Finish one emitted batch: compute, fill results (representatives and
-    // their coalesced followers), close request spans. Under `--tune auto`
-    // (`tune` is `Some((target_us, cap))`) the observed batch wall time
-    // steers the *next* batch's admission size.
-    #[allow(clippy::too_many_arguments)]
+    // their coalesced followers), close request spans.
     fn complete(
         engine: &mut BatchEngine<'_>,
         qids: &[u32],
@@ -675,31 +626,10 @@ pub fn serve_queries_traced(
         cache: &mut Option<ResultCache<Vec<ServeHit>>>,
         inflight: &mut HashMap<Vec<u8>, Vec<usize>>,
         stats: &mut ServeStats,
-        batcher: &mut AdmissionBatcher,
-        tune: Option<(u64, usize)>,
     ) -> Result<(), String> {
         stats.batches += 1;
         engine.recorder.add_counter(names::CTR_SERVE_BATCHES, 1.0);
-        let batch_start = Instant::now();
         let hits = engine.run_batch(qids, stats)?;
-        if let Some((target_us, cap)) = tune {
-            let wall_us = batch_start.elapsed().as_micros() as u64;
-            let cur = batcher.max_batch();
-            let next = autotune::adapt_serve_batch(
-                cur,
-                batcher.lanes(),
-                cap,
-                qids.len(),
-                wall_us,
-                target_us,
-            );
-            if next != cur {
-                batcher.set_max_batch(next);
-                engine
-                    .recorder
-                    .add_counter(names::CTR_TUNE_SERVE_BATCH, next as f64);
-            }
-        }
         for (&q, h) in qids.iter().zip(hits) {
             let h = Arc::new(h);
             let seq = engine.queries.seq(q as usize);
@@ -746,17 +676,38 @@ pub fn serve_queries_traced(
         }
         open[q] = Some(g);
         if let Some(batch) = batcher.push(q as u32, epoch.elapsed().as_micros() as u64) {
-            #[rustfmt::skip]
-            complete(&mut engine, &batch, &mut results, &mut open, &mut cache, &mut inflight, &mut stats, &mut batcher, serve_tune)?;
+            complete(
+                &mut engine,
+                &batch,
+                &mut results,
+                &mut open,
+                &mut cache,
+                &mut inflight,
+                &mut stats,
+            )?;
         }
         while let Some(batch) = batcher.poll(epoch.elapsed().as_micros() as u64) {
-            #[rustfmt::skip]
-            complete(&mut engine, &batch, &mut results, &mut open, &mut cache, &mut inflight, &mut stats, &mut batcher, serve_tune)?;
+            complete(
+                &mut engine,
+                &batch,
+                &mut results,
+                &mut open,
+                &mut cache,
+                &mut inflight,
+                &mut stats,
+            )?;
         }
     }
     while let Some(batch) = batcher.flush() {
-        #[rustfmt::skip]
-        complete(&mut engine, &batch, &mut results, &mut open, &mut cache, &mut inflight, &mut stats, &mut batcher, serve_tune)?;
+        complete(
+            &mut engine,
+            &batch,
+            &mut results,
+            &mut open,
+            &mut cache,
+            &mut inflight,
+            &mut stats,
+        )?;
     }
     debug_assert!(inflight.is_empty(), "all coalesced requests drained");
     if let Some(c) = &cache {

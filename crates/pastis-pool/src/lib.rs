@@ -4,20 +4,18 @@
 //! Both engines self-schedule the same way: a batch is split into units, a
 //! shared atomic counter hands units to whichever thread asks next, and the
 //! results are re-assembled **in unit order** so the output is bit-identical
-//! for any worker count. Historically each engine owned its own scoped
-//! thread team (`--spgemm-threads` / `--align-threads`), which leaves one
-//! team idle while the other is busy — exactly the slack the block-level
-//! overlap of Section VI-C creates, where block *i*'s alignment runs
-//! concurrently with block *i+1*'s SpGEMM.
+//! for any worker count. This pool is the only intra-rank executor: the
+//! SpGEMM pool, the alignment pool and the baselines all submit here, so
+//! neither engine's threads sit idle while the other is busy — exactly the
+//! slack the block-level overlap of Section VI-C creates, where block *i*'s
+//! alignment runs concurrently with block *i+1*'s SpGEMM.
 //!
-//! This crate extracts that claim machinery into one process-wide pool:
-//!
-//! * **One team of persistent workers** ([`WorkPool::new`]) serves jobs
+//! * **One team of persistent workers** ([`WorkPool::sized`]) serves jobs
 //!   from either engine; an idle sparse worker *steals* alignment units
 //!   and vice versa ([`WorkPool::steals`] counts engine switches).
 //! * **Per-engine caps** ([`WorkPool::set_cap`]) bound how many workers
-//!   may serve one engine concurrently — the compatibility story for the
-//!   old static split, now an upper bound instead of a partition.
+//!   may serve one engine concurrently — how `--align-threads` and
+//!   `--spgemm-threads` keep their meaning on the shared team.
 //! * **The submitting thread helps**: [`WorkPool::run`] drains its own job
 //!   alongside the workers (bypassing caps — a cap of zero still
 //!   completes), so a job never waits on a fully-busy pool.
@@ -232,23 +230,8 @@ impl std::fmt::Debug for WorkPool {
 }
 
 impl WorkPool {
-    /// A pool of `threads` persistent workers; `0` means one per available
-    /// core. Submitting threads additionally help drain their own jobs, so
-    /// a job sees up to `threads + 1` executing threads.
-    pub fn new(threads: usize) -> WorkPool {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        WorkPool::with_exact_workers(threads)
-    }
-
-    /// A pool of exactly `workers` persistent workers — including zero
-    /// (callers then drain their own jobs alone). Unlike [`WorkPool::new`],
-    /// `0` is taken literally rather than meaning "auto".
+    /// A pool of exactly `threads` persistent workers — including zero
+    /// (callers then drain their own jobs alone).
     pub fn with_exact_workers(threads: usize) -> WorkPool {
         let inner = Arc::new(PoolInner {
             jobs: Mutex::new(Vec::new()),
@@ -309,6 +292,15 @@ impl WorkPool {
         self.handle.inner.caps[engine.idx()].store(cap.unwrap_or(usize::MAX), Ordering::Relaxed);
         let _guard = self.handle.inner.jobs.lock().unwrap();
         self.handle.inner.cv.notify_all();
+    }
+
+    /// Threads that may execute one `engine` job at once: the persistent
+    /// workers its cap admits plus the submitting thread. Kernel selection
+    /// sizes against this, so a capped engine chooses as a pool of that
+    /// size would.
+    pub fn engine_threads(&self, engine: Engine) -> usize {
+        let cap = self.handle.inner.caps[engine.idx()].load(Ordering::Relaxed);
+        self.handle.threads.min(cap) + 1
     }
 
     /// The slot id [`WorkPool::run`] executes under when the submitting
@@ -397,12 +389,6 @@ mod tests {
     use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn zero_threads_means_auto() {
-        assert!(WorkPool::new(0).threads() >= 1);
-        assert_eq!(WorkPool::new(3).threads(), 3);
-    }
-
-    #[test]
     fn sized_counts_the_caller() {
         assert_eq!(WorkPool::sized(4).threads(), 3);
         // `--threads 1` = serial: no persistent workers, caller-only jobs.
@@ -420,7 +406,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_unit_order() {
-        let pool = WorkPool::new(4);
+        let pool = WorkPool::with_exact_workers(4);
         let want: Vec<usize> = (0..257).map(|u| u * u).collect();
         for _ in 0..8 {
             let got = pool.run(Engine::Sparse, 257, |u, _slot| u * u);
@@ -431,7 +417,7 @@ mod tests {
 
     #[test]
     fn concurrent_submitters_share_the_pool() {
-        let pool = WorkPool::new(2);
+        let pool = WorkPool::with_exact_workers(2);
         std::thread::scope(|scope| {
             let p1 = pool.clone();
             let h = scope.spawn(move || p1.run(Engine::Sparse, 300, |u, _| 2 * u));
@@ -460,7 +446,7 @@ mod tests {
 
     #[test]
     fn steals_count_engine_switches_only() {
-        let pool = WorkPool::new(1);
+        let pool = WorkPool::with_exact_workers(1);
         run_with_forced_worker(&pool, Engine::Sparse);
         run_with_forced_worker(&pool, Engine::Sparse);
         // Same engine throughout: no switch, no steal.
@@ -472,8 +458,10 @@ mod tests {
 
     #[test]
     fn capped_engine_still_completes_via_caller() {
-        let pool = WorkPool::new(2);
+        let pool = WorkPool::with_exact_workers(2);
         pool.set_cap(Engine::Sparse, Some(0));
+        assert_eq!(pool.engine_threads(Engine::Sparse), 1);
+        assert_eq!(pool.engine_threads(Engine::Align), 3);
         let got = pool.run(Engine::Sparse, 64, |u, _| u + 1);
         assert_eq!(got, (1..=64).collect::<Vec<_>>());
         // The other engine is unaffected by the sparse cap.
@@ -484,7 +472,7 @@ mod tests {
 
     #[test]
     fn caller_slots_sit_above_worker_slots() {
-        let pool = WorkPool::new(3);
+        let pool = WorkPool::with_exact_workers(3);
         assert_eq!(pool.caller_slot(Engine::Sparse), 3);
         assert_eq!(pool.caller_slot(Engine::Align), 4);
         // With a fully-capped pool every unit runs on the caller slot.
@@ -495,7 +483,7 @@ mod tests {
 
     #[test]
     fn clones_share_workers_and_shutdown_joins() {
-        let pool = WorkPool::new(2);
+        let pool = WorkPool::with_exact_workers(2);
         let clone = pool.clone();
         run_with_forced_worker(&clone, Engine::Sparse);
         drop(clone);

@@ -7,11 +7,6 @@
 //!
 //! * [`fasta`] — a robust FASTA reader/writer and the in-memory
 //!   [`SeqStore`] the pipeline works from.
-//! * [`faidx`] — a samtools-faidx-style index for O(1) random access to
-//!   records of a large FASTA file.
-//! * [`parallel_io`] — byte-range-partitioned FASTA reading (each rank
-//!   parses only its slice of the file, MPI-IO style) and partitioned
-//!   output writing.
 //! * [`alphabet`] — reduced amino-acid alphabets (Murphy-10, Dayhoff-6),
 //!   the sensitivity option from Section V of the paper (its reference
 //!   [15]).
@@ -25,14 +20,11 @@
 #![warn(missing_docs)]
 
 pub mod alphabet;
-pub mod faidx;
 pub mod fasta;
-pub mod parallel_io;
 pub mod qstream;
 pub mod synth;
 
 pub use alphabet::ReducedAlphabet;
-pub use faidx::{FaiEntry, FastaIndex};
 pub use fasta::{FastaError, FastaRecord, FastaStream, SeqStore};
 pub use qstream::QueryBatchReader;
 pub use synth::{SyntheticConfig, SyntheticDataset};

@@ -87,8 +87,8 @@ impl<T> CsrMatrix<T> {
         self.rowptr[i + 1] - self.rowptr[i]
     }
 
-    /// Number of rows that contain at least one nonzero (relevant for
-    /// hypersparsity decisions; cf. [`crate::DcscMatrix`]).
+    /// Number of rows that contain at least one nonzero (the fan-in
+    /// denominator of `auto` kernel selection).
     pub fn nonempty_rows(&self) -> usize {
         (0..self.nrows).filter(|&i| self.row_nnz(i) > 0).count()
     }

@@ -9,23 +9,19 @@
 //!
 //! * [`Triples`] — coordinate (COO) form, the interchange format.
 //! * [`CsrMatrix`] — compressed sparse rows, the local compute format.
-//! * [`CscMatrix`] / [`DcscMatrix`] — (doubly) compressed sparse columns,
-//!   CombBLAS's storage for ordinary and hypersparse blocks.
 //! * [`Semiring`] — user-defined multiply/combine pairs; the overlap
 //!   discovery "multiplication" of the paper is SpGEMM over a custom
 //!   semiring whose values carry k-mer seed positions.
-//! * [`spgemm_hash`] / [`spgemm_heap`] / [`spgemm_parallel`] — Gustavson
-//!   row-wise kernels (hash and heap accumulators, plus the row-partitioned
-//!   multithreaded kernel), all semiring-generic and bit-identical to each
-//!   other; [`SpGemmPool`] selects between them per multiplication
-//!   ([`SpGemmKind`]).
-//! * [`spgemm_esc`] — the outer-product expand–sort–compress kernel over
-//!   DCSC operands for hypersparse blocks.
-//! * [`spmv_dense`] / [`spmv_sparse`] — semiring matrix–vector products
-//!   (the primitive the similarity graph's downstream clustering uses).
+//! * [`spgemm_hash`] / [`spgemm_heap`] — Gustavson row-wise kernels (hash
+//!   and heap accumulators), semiring-generic and bit-identical to each
+//!   other; [`SpGemmPool`] selects between them and a row-partitioned
+//!   parallel kernel on the rank's `pastis_pool::WorkPool` per
+//!   multiplication ([`SpGemmKind`]).
 //! * [`DistSparseMatrix`] — a matrix 2D-block-distributed over a
 //!   `√p × √p` [`pastis_comm::ProcessGrid`].
-//! * [`summa`] — 2D Sparse SUMMA (`√p` broadcast stages).
+//! * [`summa()`] — 2D Sparse SUMMA (`√p` broadcast stages), optionally
+//!   double-buffering each stage's broadcasts behind the previous stage's
+//!   multiply.
 //! * [`BlockedSumma`] — the paper's blocked variant: the output is formed
 //!   in `br × bc` blocks so the search can run incrementally under a memory
 //!   budget.
@@ -49,29 +45,21 @@
 #![warn(missing_docs)]
 
 pub mod csr;
-pub mod dcsc;
 pub mod distmat;
-pub mod esc;
 pub mod parallel;
 pub mod semiring;
 pub mod spgemm;
-pub mod spmv;
 pub mod spops;
 pub mod summa;
 pub mod triples;
 
 pub use csr::CsrMatrix;
-pub use dcsc::{CscMatrix, DcscMatrix};
 pub use distmat::DistSparseMatrix;
-pub use esc::spgemm_esc;
-pub use parallel::{run_units, spgemm_parallel, spgemm_parallel_traced, SpGemmPool};
+pub use parallel::SpGemmPool;
 pub use semiring::{BoolAndOr, MinPlus, PlusTimes, Semiring};
 pub use spgemm::{spgemm_dense_ref, spgemm_hash, spgemm_heap, SpGemmKind, SpGemmStats};
-pub use spmv::{spmv_dense, spmv_sparse};
 pub use spops::{spadd, spadd_into};
-pub use summa::{
-    summa, summa_with, summa_with_overlap, summa_with_overlap_hooked, BlockedSumma, StageMemHook,
-};
+pub use summa::{summa, BlockedSumma};
 pub use triples::{Index, Triple, Triples};
 
 /// Approximate in-memory footprint in bytes of a CSR matrix with `nnz`

@@ -1,35 +1,24 @@
 //! Intra-rank parallel SpGEMM — the sparse analog of the alignment side's
-//! `AlignPool` (PR 1), bringing the local kernels up to the multithreaded
+//! `AlignPool`, bringing the local kernels up to the multithreaded
 //! CombBLAS kernels the paper inherits (Nagasaka et al., ICPP'18).
 //!
-//! Two layers:
+//! [`SpGemmPool`] owns the kernel selection ([`SpGemmKind`]) and a handle
+//! to the rank's [`WorkPool`]. Its parallel kernel is Gustavson's
+//! algorithm row-partitioned into fixed-size chunks that run as pool
+//! units. Every chunk runs the *same* per-row hash-accumulator kernel as
+//! [`crate::spgemm_hash`] (literally the same function), and chunks are
+//! stitched back in ascending row order, so the output — values *and*
+//! combine order — is bit-identical to the serial kernel for any worker
+//! count and any semiring, including non-commutative ones.
 //!
-//! * [`run_units`] — the deterministic chunk-claim primitive: `n_units`
-//!   independent work units are claimed from a shared atomic counter by
-//!   `t` scoped threads (the calling thread is worker 0, so a pool of `t`
-//!   occupies exactly `t` OS threads — important under pre-blocking, where
-//!   a concurrent sparse thread already owns the communicator), and the
-//!   results are re-assembled **in unit order**. Reused by the baselines'
-//!   candidate-discovery loops.
-//! * [`spgemm_parallel`] — Gustavson's algorithm row-partitioned into
-//!   fixed-size chunks executed through [`run_units`]. Every chunk runs
-//!   the *same* per-row hash-accumulator kernel as [`crate::spgemm_hash`]
-//!   (literally the same function), and chunks are stitched back in
-//!   ascending row order, so the output — values *and* combine order — is
-//!   bit-identical to the serial kernel for any thread count and any
-//!   semiring, including non-commutative ones.
-//!
-//! [`SpGemmPool`] wraps kernel selection ([`SpGemmKind`]) around them: the
-//! `auto` policy picks the parallel kernel when the pool has >1 worker and
-//! enough rows to amortize chunk claims, and otherwise chooses between the
-//! serial hash and heap kernels by merge fan-in. The average number of
-//! B-rows merged per output row is an upper bound on the compression
-//! factor (each sorted B row contributes a column at most once), so a low
-//! fan-in bound means a low compression factor — the regime where the
-//! heap's ordered merge beats hashing + sorting (Section V-B's
-//! compression-factor discussion).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! The `auto` policy picks the parallel kernel when the pool lets more
+//! than one thread serve SpGEMM and there are enough rows to amortize
+//! chunk claims, and otherwise chooses between the serial hash and heap
+//! kernels by merge fan-in. The average number of B-rows merged per output
+//! row is an upper bound on the compression factor (each sorted B row
+//! contributes a column at most once), so a low fan-in bound means a low
+//! compression factor — the regime where the heap's ordered merge beats
+//! hashing + sorting (Section V-B's compression-factor discussion).
 
 use pastis_pool::{Engine, WorkPool};
 use pastis_trace::{names, Component, Recorder, Track};
@@ -55,162 +44,12 @@ const PARALLEL_MIN_ROWS: usize = 4 * ROWS_PER_CHUNK;
 /// factor from above, and a short k-way merge beats hash + sort.
 const HEAP_MAX_FANIN: f64 = 8.0;
 
-/// Deterministic chunk-claim parallel map: calls `work(worker, unit)`
-/// exactly once for each `unit < n_units`, from whichever of `threads`
-/// scoped workers claims the unit off a shared atomic counter, and returns
-/// the results **in unit order**. The calling thread doubles as worker 0;
-/// with one thread (or one unit) no threads are spawned at all.
-///
-/// Determinism contract: `work` must depend only on its `unit` argument —
-/// then the returned vector is identical for every thread count, and any
-/// order-sensitive stitching the caller does over it is too.
-pub fn run_units<R, F>(threads: usize, n_units: usize, work: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
-{
-    let workers = threads.max(1).min(n_units.max(1));
-    if workers <= 1 {
-        return (0..n_units).map(|u| work(0, u)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let worker = |w: usize| {
-        let mut out = Vec::new();
-        loop {
-            let u = next.fetch_add(1, Ordering::Relaxed);
-            if u >= n_units {
-                break;
-            }
-            out.push((u, work(w, u)));
-        }
-        out
-    };
-    std::thread::scope(|scope| {
-        let worker = &worker;
-        let handles: Vec<_> = (1..workers)
-            .map(|w| scope.spawn(move || worker(w)))
-            .collect();
-        let mut tagged = worker(0);
-        for h in handles {
-            tagged.extend(h.join().expect("spgemm worker panicked"));
-        }
-        tagged.sort_unstable_by_key(|&(u, _)| u);
-        tagged.into_iter().map(|(_, r)| r).collect()
-    })
-}
-
-/// Resolve a thread-count knob: `0` means one worker per available core.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
-/// Row-partitioned parallel SpGEMM: `C = A ⊗ B` under semiring `sr`,
-/// computed by `threads` workers (`0` = one per core) claiming
-/// fixed-size row chunks and stitched in ascending row order.
-///
-/// Bit-identical to [`spgemm_hash`] — same values, same combine order —
-/// for any thread count and any semiring, because each row runs the same
-/// per-row kernel and the stitch preserves row order. Stats are summed
-/// over chunks, matching the serial counters exactly.
-///
-/// # Panics
-///
-/// Panics if `a.ncols() != b.nrows()`.
-pub fn spgemm_parallel<S>(
-    sr: &S,
-    a: &CsrMatrix<S::A>,
-    b: &CsrMatrix<S::B>,
-    threads: usize,
-) -> (CsrMatrix<S::C>, SpGemmStats)
-where
-    S: Semiring + Sync,
-    S::A: Sync,
-    S::B: Sync,
-    S::C: Send,
-{
-    spgemm_parallel_traced(sr, a, b, threads, &Recorder::disabled())
-}
-
-/// [`spgemm_parallel`] with telemetry: each claimed chunk emits a
-/// `spgemm.row_chunk` span on its worker's [`Track::SpGemmWorker`]
-/// sub-track (kept off the main rank track so phase totals never
-/// double-count pool work). Observation-only — results are unchanged.
-pub fn spgemm_parallel_traced<S>(
-    sr: &S,
-    a: &CsrMatrix<S::A>,
-    b: &CsrMatrix<S::B>,
-    threads: usize,
-    rec: &Recorder,
-) -> (CsrMatrix<S::C>, SpGemmStats)
-where
-    S: Semiring + Sync,
-    S::A: Sync,
-    S::B: Sync,
-    S::C: Send,
-{
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "SpGEMM dimension mismatch: {}x{} · {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    let threads = resolve_threads(threads);
-    let n_units = a.nrows().div_ceil(ROWS_PER_CHUNK);
-    let chunks: Vec<Chunk<S::C>> = run_units(threads, n_units, |w, u| {
-        row_chunk(sr, a, b, u, Track::SpGemmWorker(w as u32), rec)
-    });
-    stitch_chunks(a, b, chunks)
-}
-
-/// [`spgemm_parallel_traced`] executing on the unified [`WorkPool`] instead
-/// of scoped per-call threads: chunks become pool units an idle alignment
-/// worker can steal, and chunk spans land on [`Track::PoolWorker`]
-/// sub-tracks. Bit-identical to every other kernel path — same chunking,
-/// same per-row kernel, same row-order stitch.
-pub fn spgemm_parallel_pooled<S>(
-    sr: &S,
-    a: &CsrMatrix<S::A>,
-    b: &CsrMatrix<S::B>,
-    workers: &WorkPool,
-    rec: &Recorder,
-) -> (CsrMatrix<S::C>, SpGemmStats)
-where
-    S: Semiring + Sync,
-    S::A: Sync,
-    S::B: Sync,
-    S::C: Send,
-{
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "SpGEMM dimension mismatch: {}x{} · {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    let n_units = a.nrows().div_ceil(ROWS_PER_CHUNK);
-    let chunks: Vec<Chunk<S::C>> = workers.run(Engine::Sparse, n_units, |u, slot| {
-        row_chunk(sr, a, b, u, Track::PoolWorker(slot as u32), rec)
-    });
-    stitch_chunks(a, b, chunks)
-}
-
 /// One chunk's output: per-row lengths plus the concatenated row data.
 type Chunk<C> = (Vec<usize>, Vec<Index>, Vec<C>, SpGemmStats);
 
 /// Compute row chunk `u` with the shared per-row hash kernel, emitting its
 /// `spgemm.row_chunk` span on `track` when telemetry is on. Depends only
-/// on `u` — the determinism requirement of both execution backends.
+/// on `u`, so the result is the same whichever thread claims the unit.
 fn row_chunk<S>(
     sr: &S,
     a: &CsrMatrix<S::A>,
@@ -275,8 +114,9 @@ fn stitch_chunks<A, B, C>(
 }
 
 /// Kernel-selection wrapper around the local SpGEMM kernels: holds the
-/// worker count, the [`SpGemmKind`] policy, and an optional telemetry
-/// recorder, and dispatches each multiplication to the chosen kernel.
+/// [`SpGemmKind`] policy, the [`WorkPool`] the parallel kernel runs on, and
+/// an optional telemetry recorder, and dispatches each multiplication to
+/// the chosen kernel.
 ///
 /// Every kernel choice produces bit-identical output (the equivalence
 /// tests below and the proptest sweep pin values *and* combine order), so
@@ -284,26 +124,25 @@ fn stitch_chunks<A, B, C>(
 /// alignment side's `AlignPool`.
 #[derive(Debug, Clone)]
 pub struct SpGemmPool {
-    threads: usize,
     kind: SpGemmKind,
     recorder: Recorder,
-    workers: Option<WorkPool>,
+    workers: WorkPool,
 }
 
 impl SpGemmPool {
-    /// A pool of `threads` workers (`0` = one per available core) with the
-    /// `auto` selection policy and telemetry off.
+    /// A pool on its own [`WorkPool::sized`]`(threads)` (`threads` counts
+    /// the calling thread; `0` = one per available core) with the `auto`
+    /// selection policy and telemetry off.
     pub fn new(threads: usize) -> SpGemmPool {
         SpGemmPool {
-            threads: resolve_threads(threads),
             kind: SpGemmKind::Auto,
             recorder: Recorder::disabled(),
-            workers: None,
+            workers: WorkPool::sized(threads),
         }
     }
 
-    /// The exact legacy configuration: one worker, always the serial hash
-    /// kernel. `summa` without an explicit pool runs this.
+    /// The exact legacy configuration: one thread, always the serial hash
+    /// kernel.
     pub fn serial() -> SpGemmPool {
         SpGemmPool::new(1).with_kind(SpGemmKind::Hash)
     }
@@ -317,41 +156,25 @@ impl SpGemmPool {
     /// Attach a telemetry recorder: each multiplication then bumps a
     /// `spgemm.kernel.<name>` counter for the kernel it ran, and the
     /// parallel kernel emits per-chunk `spgemm.row_chunk` spans on
-    /// [`Track::SpGemmWorker`] sub-tracks. Observation-only.
+    /// [`Track::PoolWorker`] sub-tracks. Observation-only.
     pub fn with_recorder(mut self, recorder: Recorder) -> SpGemmPool {
         self.recorder = recorder;
         self
     }
 
-    /// Submit parallel multiplications to a shared [`WorkPool`] instead of
-    /// spawning scoped threads per call: row chunks become pool units, so
-    /// idle alignment workers can steal them (and vice versa). Kernel
-    /// *selection* then sizes against the unified pool (`workers + the
-    /// submitting caller`), and chunk spans move to
-    /// [`Track::PoolWorker`] sub-tracks. Results are bit-identical to the
-    /// scoped-thread path.
+    /// Run on a shared [`WorkPool`] instead of this pool's own: row chunks
+    /// become units an idle alignment worker can steal (and vice versa),
+    /// and kernel selection sizes against the threads that pool admits for
+    /// SpGEMM. Results are bit-identical for every pool.
     pub fn with_workers(mut self, workers: WorkPool) -> SpGemmPool {
-        self.workers = Some(workers);
+        self.workers = workers;
         self
     }
 
-    /// Resolved worker count (never 0).
+    /// Threads that may run one multiplication: the pool's SpGEMM-capped
+    /// workers plus the calling thread (never 0).
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Workers `select` sizes the parallel kernel against: the unified
-    /// pool (its workers plus the submitting caller) when one is attached,
-    /// else the pool's own thread knob.
-    fn effective_threads(&self) -> usize {
-        self.workers
-            .as_ref()
-            .map_or(self.threads, |w| w.threads() + 1)
-    }
-
-    /// The attached unified pool, if any.
-    pub fn workers(&self) -> Option<&WorkPool> {
-        self.workers.as_ref()
+        self.workers.engine_threads(Engine::Sparse)
     }
 
     /// The attached telemetry recorder (disabled recorder when none was
@@ -366,12 +189,12 @@ impl SpGemmPool {
     }
 
     /// The concrete kernel `multiply` would run for these operands —
-    /// `auto` resolved against the pool's worker count and the operands'
+    /// `auto` resolved against [`SpGemmPool::threads`] and the operands'
     /// shape/fan-in; never returns [`SpGemmKind::Auto`].
     pub fn select<A, B>(&self, a: &CsrMatrix<A>, b: &CsrMatrix<B>) -> SpGemmKind {
         match self.kind {
             SpGemmKind::Auto => {
-                if self.effective_threads() > 1 && a.nrows() >= PARALLEL_MIN_ROWS {
+                if self.threads() > 1 && a.nrows() >= PARALLEL_MIN_ROWS {
                     return SpGemmKind::Parallel;
                 }
                 let rows = a.nonempty_rows();
@@ -414,12 +237,46 @@ impl SpGemmPool {
         match kind {
             SpGemmKind::Hash => spgemm_hash(sr, a, b),
             SpGemmKind::Heap => spgemm_heap(sr, a, b),
-            SpGemmKind::Parallel => match &self.workers {
-                Some(wp) => spgemm_parallel_pooled(sr, a, b, wp, &self.recorder),
-                None => spgemm_parallel_traced(sr, a, b, self.threads, &self.recorder),
-            },
+            SpGemmKind::Parallel => self.multiply_parallel(sr, a, b),
             SpGemmKind::Auto => unreachable!("select() never returns Auto"),
         }
+    }
+
+    /// The row-partitioned parallel kernel: `ROWS_PER_CHUNK`-row chunks
+    /// run as [`Engine::Sparse`] units on the work pool, each chunk's
+    /// `spgemm.row_chunk` span on its executing thread's
+    /// [`Track::PoolWorker`] sub-track, stitched in ascending row order.
+    /// Stats are summed over chunks, matching the serial counters exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.ncols() != b.nrows()`.
+    fn multiply_parallel<S>(
+        &self,
+        sr: &S,
+        a: &CsrMatrix<S::A>,
+        b: &CsrMatrix<S::B>,
+    ) -> (CsrMatrix<S::C>, SpGemmStats)
+    where
+        S: Semiring + Sync,
+        S::A: Sync,
+        S::B: Sync,
+        S::C: Send,
+    {
+        assert_eq!(
+            a.ncols(),
+            b.nrows(),
+            "SpGEMM dimension mismatch: {}x{} · {}x{}",
+            a.nrows(),
+            a.ncols(),
+            b.nrows(),
+            b.ncols()
+        );
+        let n_units = a.nrows().div_ceil(ROWS_PER_CHUNK);
+        let chunks: Vec<Chunk<S::C>> = self.workers.run(Engine::Sparse, n_units, |u, slot| {
+            row_chunk(sr, a, b, u, Track::PoolWorker(slot as u32), &self.recorder)
+        });
+        stitch_chunks(a, b, chunks)
     }
 
     /// The serving path's transpose-product entry point: multiply one
@@ -521,18 +378,9 @@ mod tests {
         CsrMatrix::from_triples(t)
     }
 
-    #[test]
-    fn run_units_preserves_unit_order() {
-        for threads in [1usize, 2, 3, 8] {
-            let out = run_units(threads, 100, |_, u| u * u);
-            assert_eq!(
-                out,
-                (0..100).map(|u| u * u).collect::<Vec<_>>(),
-                "t={threads}"
-            );
-        }
-        let empty: Vec<usize> = run_units(4, 0, |_, u| u);
-        assert!(empty.is_empty());
+    /// The parallel kernel on a pool of `threads` threads.
+    fn parallel(threads: usize) -> SpGemmPool {
+        SpGemmPool::new(threads).with_kind(SpGemmKind::Parallel)
     }
 
     #[test]
@@ -568,7 +416,7 @@ mod tests {
         let sr = PlusTimes::<u32>::new();
         let (want, want_stats) = spgemm_hash(&sr, &a, &b);
         for t in [1usize, 2, 3, 8] {
-            let (got, stats) = spgemm_parallel(&sr, &a, &b, t);
+            let (got, stats) = parallel(t).multiply(&sr, &a, &b);
             assert_eq!(got, want, "t={t}");
             assert_eq!(stats, want_stats, "t={t}");
         }
@@ -579,12 +427,12 @@ mod tests {
         let sr = PlusTimes::<u32>::new();
         let a: CsrMatrix<u32> = CsrMatrix::empty(0, 5);
         let b: CsrMatrix<u32> = CsrMatrix::empty(5, 3);
-        let (c, stats) = spgemm_parallel(&sr, &a, &b, 4);
+        let (c, stats) = parallel(4).multiply(&sr, &a, &b);
         assert_eq!((c.nrows(), c.ncols(), c.nnz()), (0, 3, 0));
         assert_eq!(stats.products, 0);
         let a1 = random_matrix(1, 4, 0.9, 3);
         let b1 = random_matrix(4, 4, 0.9, 4);
-        let (got, _) = spgemm_parallel(&sr, &a1, &b1, 8);
+        let (got, _) = parallel(8).multiply(&sr, &a1, &b1);
         assert_eq!(got, spgemm_hash(&sr, &a1, &b1).0);
     }
 
@@ -593,7 +441,7 @@ mod tests {
     fn parallel_dimension_mismatch_panics() {
         let a: CsrMatrix<u32> = CsrMatrix::empty(2, 3);
         let b: CsrMatrix<u32> = CsrMatrix::empty(2, 2);
-        let _ = spgemm_parallel(&PlusTimes::new(), &a, &b, 2);
+        let _ = parallel(2).multiply(&PlusTimes::new(), &a, &b);
     }
 
     /// Order-sensitive semiring: combine concatenates, exposing any
@@ -621,7 +469,7 @@ mod tests {
         let (heap, _) = spgemm_heap(&Concat, &a, &b);
         assert_eq!(want, heap);
         for t in [1usize, 2, 3, 8] {
-            let (got, _) = spgemm_parallel(&Concat, &a, &b, t);
+            let (got, _) = parallel(t).multiply(&Concat, &a, &b);
             assert_eq!(got, want, "t={t}");
         }
     }
@@ -635,7 +483,7 @@ mod tests {
         let (want, want_stats) = spgemm_hash(&sr, &a, &b);
         assert!(want.row(0).0.len() > 500, "growth case not dense enough");
         for t in [1usize, 3, 8] {
-            let (got, stats) = spgemm_parallel(&sr, &a, &b, t);
+            let (got, stats) = parallel(t).multiply(&sr, &a, &b);
             assert_eq!(got, want, "t={t}");
             assert_eq!(stats, want_stats, "t={t}");
         }
@@ -708,12 +556,12 @@ mod tests {
         assert_eq!(got, spgemm_hash(&sr, &a, &b).0);
 
         let spans = rec.snapshot_spans();
-        // 100 rows / 16 per chunk = 7 chunk spans, all on worker tracks.
+        // 100 rows / 16 per chunk = 7 chunk spans, all on pool tracks.
         assert_eq!(spans.len(), 7);
         let mut rows_total = 0u64;
         for s in &spans {
             assert_eq!(s.name, names::SPAN_SPGEMM_ROW_CHUNK);
-            assert!(matches!(s.track, Track::SpGemmWorker(_)), "{:?}", s.track);
+            assert!(matches!(s.track, Track::PoolWorker(_)), "{:?}", s.track);
             rows_total += s.args.iter().find(|(n, _)| *n == "rows").unwrap().1;
         }
         assert_eq!(rows_total, 100);
@@ -741,42 +589,13 @@ mod tests {
         let (want, want_stats) = spgemm_hash(&sr, &a, &b);
         let (cat_want, _) = spgemm_hash(&Concat, &a, &b);
         for workers in [0usize, 1, 3] {
-            let wp = WorkPool::with_exact_workers(workers);
-            let rec = Recorder::disabled();
-            let (got, stats) = spgemm_parallel_pooled(&sr, &a, &b, &wp, &rec);
+            let pool = parallel(1).with_workers(WorkPool::with_exact_workers(workers));
+            let (got, stats) = pool.multiply(&sr, &a, &b);
             assert_eq!(got, want, "workers={workers}");
             assert_eq!(stats, want_stats, "workers={workers}");
-            let (cat_got, _) = spgemm_parallel_pooled(&Concat, &a, &b, &wp, &rec);
+            let (cat_got, _) = pool.multiply(&Concat, &a, &b);
             assert_eq!(cat_got, cat_want, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn pool_backed_multiply_uses_pool_worker_tracks() {
-        let a = random_matrix(100, 32, 0.2, 15);
-        let b = random_matrix(32, 40, 0.2, 16);
-        let sr = PlusTimes::<u32>::new();
-        let session = TraceSession::new();
-        let rec = session.recorder(0);
-        let wp = WorkPool::with_exact_workers(1);
-        let pool = SpGemmPool::new(1)
-            .with_kind(SpGemmKind::Parallel)
-            .with_recorder(rec.clone())
-            .with_workers(wp.clone());
-        assert!(pool.workers().is_some());
-        let (got, _) = pool.multiply(&sr, &a, &b);
-        assert_eq!(got, spgemm_hash(&sr, &a, &b).0);
-        // Same chunking as the scoped path (100 rows → 7 chunks), but the
-        // spans now live on unified-pool tracks.
-        let spans = rec.snapshot_spans();
-        assert_eq!(spans.len(), 7);
-        let mut rows_total = 0u64;
-        for s in &spans {
-            assert_eq!(s.name, names::SPAN_SPGEMM_ROW_CHUNK);
-            assert!(matches!(s.track, Track::PoolWorker(_)), "{:?}", s.track);
-            rows_total += s.args.iter().find(|(n, _)| *n == "rows").unwrap().1;
-        }
-        assert_eq!(rows_total, 100);
     }
 
     #[test]
@@ -790,6 +609,12 @@ mod tests {
         // A workerless pool (caller-only) leaves auto at serial choices.
         let solo = SpGemmPool::new(4).with_workers(WorkPool::with_exact_workers(0));
         assert_ne!(solo.select(&big, &b), SpGemmKind::Parallel);
+        // So does a pool whose SpGEMM cap admits no workers.
+        let capped = WorkPool::with_exact_workers(3);
+        capped.set_cap(Engine::Sparse, Some(0));
+        let capped = SpGemmPool::new(1).with_workers(capped);
+        assert_eq!(capped.threads(), 1);
+        assert_ne!(capped.select(&big, &b), SpGemmKind::Parallel);
     }
 
     #[test]
@@ -834,10 +659,10 @@ mod tests {
             let (cat_heap, _) = spgemm_heap(&Concat, &a, &b);
             prop_assert_eq!(&cat_heap, &cat_want);
             for t in [1usize, 2, 3, 8] {
-                let (got, stats) = spgemm_parallel(&sr, &a, &b, t);
+                let (got, stats) = parallel(t).multiply(&sr, &a, &b);
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(stats, want_stats);
-                let (cat_got, _) = spgemm_parallel(&Concat, &a, &b, t);
+                let (cat_got, _) = parallel(t).multiply(&Concat, &a, &b);
                 prop_assert_eq!(&cat_got, &cat_want);
             }
         }

@@ -69,8 +69,8 @@ pub enum SpGemmKind {
     Hash,
     /// Always the serial heap (k-way merge) kernel ([`spgemm_heap`]).
     Heap,
-    /// Always the row-partitioned parallel kernel
-    /// ([`crate::spgemm_parallel`]).
+    /// Always the row-partitioned parallel kernel, run on the pool's
+    /// [`pastis_pool::WorkPool`] ([`crate::SpGemmPool::multiply`]).
     Parallel,
 }
 
@@ -262,8 +262,8 @@ pub fn spgemm_hash<S: Semiring>(
 /// Compute output row `i` of `A ⊗ B` with the hash-accumulator row kernel,
 /// appending the sorted row to `colind`/`vals` and updating `stats`.
 ///
-/// Both [`spgemm_hash`] and the row-partitioned parallel kernel
-/// ([`crate::spgemm_parallel`]) run this exact code path per row, so their
+/// Both [`spgemm_hash`] and the row-partitioned parallel kernel of
+/// [`crate::SpGemmPool`] run this exact code path per row, so their
 /// per-row arithmetic — including the combine order non-commutative
 /// semirings observe — is identical by construction.
 #[inline]

@@ -143,8 +143,8 @@ mod tests {
             );
             rec.record_span_at(
                 Component::Align,
-                "align.worker",
-                Track::AlignWorker(0),
+                "align.unit",
+                Track::PoolWorker(0),
                 0.5,
                 0.25,
                 &[],
@@ -182,14 +182,14 @@ mod tests {
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
         let worker_span = events
             .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("align.worker"))
+            .find(|e| e.get("name").unwrap().as_str() == Some("align.unit"))
             .unwrap();
-        assert_eq!(worker_span.get("tid").unwrap().as_u64(), Some(1));
+        assert_eq!(worker_span.get("tid").unwrap().as_u64(), Some(2050));
         // ...and a thread_name metadata event labels that tid.
         assert!(events.iter().any(|e| {
             e.get("name").unwrap().as_str() == Some("thread_name")
-                && e.get("tid").unwrap().as_u64() == Some(1)
-                && e.get("args").unwrap().get("name").unwrap().as_str() == Some("align-worker 0")
+                && e.get("tid").unwrap().as_u64() == Some(2050)
+                && e.get("args").unwrap().get("name").unwrap().as_str() == Some("pool-worker 0")
         }));
     }
 

@@ -393,8 +393,8 @@ mod tests {
             );
             rec.record_span_at(
                 Component::Align,
-                "align.worker",
-                Track::AlignWorker(0),
+                "align.unit",
+                Track::PoolWorker(0),
                 0.0,
                 100.0, // must NOT count toward component seconds
                 &[],
@@ -486,14 +486,14 @@ mod tests {
         assert_eq!(parsed.schema, METRICS_SCHEMA_VERSION);
         assert_eq!(
             parsed.hist_names,
-            vec!["align.worker".to_string(), "summa.block".to_string()]
+            vec!["align.unit".to_string(), "summa.block".to_string()]
         );
         let back = MetricsReport::from_json(&report.to_json()).unwrap();
         let r1 = &back.ranks[1];
         assert_eq!(r1.span_hist["summa.block"].count(), 1);
         assert_eq!(r1.span_hist["summa.block"].max_us(), 2_000_000);
         // The worker sub-track's busy seconds are reported per label.
-        assert!((r1.worker_seconds["align-worker 0"] - 100.0).abs() < 1e-9);
+        assert!((r1.worker_seconds["pool-worker 0"] - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -88,13 +88,10 @@ impl CommOp {
 pub enum Track {
     /// The rank's main timeline (pipeline phases, collectives).
     Rank,
-    /// One alignment-pool worker's occupancy sub-track (0 = the calling
-    /// thread).
-    AlignWorker(u32),
-    /// One SpGEMM-pool worker's occupancy sub-track (0 = the calling
-    /// thread). Kept off the main track so phase totals (which sum
-    /// [`Track::Rank`] spans only) never double-count the pool's
-    /// per-chunk spans.
+    /// The overlapped SUMMA's stage-compute sub-track (`spgemm.stage`
+    /// spans). Kept off the main track so phase totals (which sum
+    /// [`Track::Rank`] spans only) never double-count the enclosing
+    /// block span.
     SpGemmWorker(u32),
     /// The dedicated comm-issuing path of the double-buffered SUMMA: the
     /// `summa.bcast.prefetch` spans posting stage `k+1`'s broadcasts while
@@ -108,14 +105,14 @@ pub enum Track {
 }
 
 impl Track {
-    /// Chrome `tid` for this track: 0 = main, 1+w = align worker `w`,
-    /// 1025+w = SpGEMM worker `w`, 2049 = the SUMMA comm-prefetch path,
-    /// 2050+w = unified-pool worker `w` (offsets keep the families in
-    /// disjoint tid ranges for any realistic pool size).
+    /// Chrome `tid` for this track: 0 = main, 1025+w = SpGEMM stage
+    /// track `w`, 2049 = the SUMMA comm-prefetch path, 2050+w = work-pool
+    /// slot `w` (offsets keep the families in disjoint tid ranges for any
+    /// realistic pool size; tids 1–1024 belonged to the retired
+    /// per-engine alignment workers).
     pub fn tid(self) -> u64 {
         match self {
             Track::Rank => 0,
-            Track::AlignWorker(w) => 1 + w as u64,
             Track::SpGemmWorker(w) => 1025 + w as u64,
             Track::CommPath => 2049,
             Track::PoolWorker(w) => 2050 + w as u64,
@@ -131,10 +128,10 @@ impl Track {
     pub fn tid_label(tid: u64) -> String {
         match tid {
             0 => "main".to_string(),
-            1..=1024 => format!("align-worker {}", tid - 1),
             1025..=2048 => format!("spgemm-worker {}", tid - 1025),
             2049 => "comm-prefetch".to_string(),
-            _ => format!("pool-worker {}", tid - 2050),
+            2050.. => format!("pool-worker {}", tid - 2050),
+            _ => format!("tid {tid}"),
         }
     }
 }
@@ -609,8 +606,8 @@ mod tests {
                 let rec = rec.clone();
                 s.spawn(move || {
                     let _g = rec
-                        .span(Component::Align, "align.worker")
-                        .on_track(Track::AlignWorker(w));
+                        .span(Component::Align, "align.unit")
+                        .on_track(Track::PoolWorker(w));
                 });
             }
         });

@@ -46,11 +46,11 @@ fn fixture_session() -> TraceSession {
         for w in 0..2u32 {
             rec.record_span_at(
                 Component::Align,
-                "align.worker",
-                Track::AlignWorker(w),
+                "align.unit",
+                Track::PoolWorker(w),
                 0.625,
                 0.2 + w as f64 * 0.05,
-                &[("units", 4)],
+                &[("unit", w as u64), ("pairs", 16)],
             );
         }
         rec.record_comm_at(CommOp::AllReduce, 56, 1, 0.001, 0.875);
@@ -121,7 +121,7 @@ fn chrome_export_satisfies_trace_event_schema() {
     assert_eq!(pids, vec![0, 1], "one Chrome process per rank");
 
     // Worker sub-tracks exist and are labelled.
-    for want in ["align-worker 0", "align-worker 1"] {
+    for want in ["pool-worker 0", "pool-worker 1"] {
         assert!(
             events.iter().any(|e| {
                 e.get("name").and_then(json::JsonValue::as_str) == Some("thread_name")

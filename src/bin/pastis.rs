@@ -29,7 +29,6 @@ use pastis::core::params::AlignKind;
 use pastis::core::pipeline::{run_search_traced, SearchResult};
 use pastis::core::{
     build_index, IndexBuildConfig, LoadBalance, PersistedIndex, SearchParams, ServeConfig,
-    TunePolicy,
 };
 use pastis::seqio::fasta::{write_fasta, FastaStream, SeqStore};
 use pastis::seqio::{QueryBatchReader, ReducedAlphabet, SyntheticConfig, SyntheticDataset};
@@ -76,34 +75,28 @@ SEARCH/CLUSTER OPTIONS:
                               backend of the default and score-only
                               kernels; output is identical for any
                               choice                         [default: auto]
-    --align-threads <INT>     intra-rank alignment workers; 0 = one per
+    --align-threads <INT>     threads that may run one alignment batch,
+                              counting the calling thread; 0 = one per
                               core; output is identical for any value [default: 1]
     --spgemm <NAME>           auto | hash | heap | parallel — local SpGEMM
                               kernel inside each SUMMA stage; output is
                               identical for any choice       [default: auto]
-    --spgemm-threads <INT>    intra-rank SpGEMM workers; 0 = one per core;
-                              output is identical for any value [default: 1]
-    --threads <INT>           unified work-stealing pool shared by the
-                              sparse and alignment engines (replaces the
-                              static --align-threads/--spgemm-threads
-                              split); counts the submitting thread, 0 =
-                              one per core; output is identical for any
-                              value. When set, an explicitly passed
-                              --align-threads/--spgemm-threads becomes a
-                              per-engine concurrency cap on pool workers
-                              instead of a dedicated thread count
+    --spgemm-threads <INT>    threads that may run one local SpGEMM,
+                              counting the calling thread; 0 = one per
+                              core; output is identical for any value [default: 1]
+    --threads <INT>           size of the work-stealing pool shared by the
+                              sparse and alignment engines; counts the
+                              submitting thread, 0 = one per core; output
+                              is identical for any value. Without it the
+                              pool is sized to the larger of
+                              --align-threads/--spgemm-threads. When set,
+                              an explicitly passed --align-threads/
+                              --spgemm-threads becomes a per-engine cap on
+                              pool workers instead
     --overlap                 double-buffer SUMMA broadcasts: post stage
                               k+1's row/column broadcasts while stage k's
                               local SpGEMM runs; output is bit-identical
                               with the flag on or off
-    --tune <POLICY>           auto | off | fixed:<k=v,..> — self-tuning of
-                              schedule-invariant knobs. 'auto' seeds the
-                              --threads engine split and serve batch size
-                              from the cost model, then adapts them from
-                              live telemetry between SUMMA stages / serve
-                              batches; 'fixed:' pins spgemm=N,align=N,
-                              batch=N,lookahead=N by hand. Output is
-                              bit-identical for any policy  [default: off]
     --mcl                     cluster with Markov clustering instead of
                               connected components (cluster command only)
     --inflation <FLOAT>       MCL inflation exponent            [default: 2.0]
@@ -300,7 +293,6 @@ const SEARCH_VALUE_FLAGS: &[&str] = &[
     "spgemm",
     "spgemm-threads",
     "threads",
-    "tune",
     "inflation",
     "ranks",
     "trace-out",
@@ -398,9 +390,6 @@ fn parse_search_params(opts: &Opts) -> Result<SearchParams, String> {
         if opts.get("spgemm-threads").is_some() {
             p.spgemm_cap = Some(p.spgemm_threads);
         }
-    }
-    if let Some(t) = opts.get("tune") {
-        p.tune = TunePolicy::parse(t)?;
     }
     p.overlap = opts.has("overlap");
     if let Some(ms) = opts.get("op-timeout-ms") {
@@ -1488,8 +1477,8 @@ mod tests {
         assert_eq!(p.threads, Some(8));
         assert_eq!(p.align_cap, Some(3));
         assert_eq!(p.spgemm_cap, Some(2));
-        // Without --threads the legacy knobs keep their dedicated-thread
-        // meaning and no caps are set.
+        // Without --threads the per-engine knobs stay thread counts (the
+        // work pool derives its size and caps from them); no caps are set.
         let legacy = Opts::parse(&s(&["--align-threads", "3"]), SEARCH_VALUE_FLAGS).unwrap();
         let p = parse_search_params(&legacy).unwrap();
         assert_eq!(p.align_threads, 3);
@@ -1497,50 +1486,6 @@ mod tests {
         // Bad values are rejected.
         let bad = Opts::parse(&s(&["--threads", "many"]), SEARCH_VALUE_FLAGS).unwrap();
         assert!(parse_search_params(&bad).is_err());
-    }
-
-    #[test]
-    fn tune_flag_parses_policies() {
-        let none = Opts::parse(&[], SEARCH_VALUE_FLAGS).unwrap();
-        assert_eq!(parse_search_params(&none).unwrap().tune, TunePolicy::Off);
-
-        let auto = Opts::parse(&s(&["--tune", "auto"]), SEARCH_VALUE_FLAGS).unwrap();
-        assert!(parse_search_params(&auto).unwrap().tune.is_auto());
-
-        let fixed = Opts::parse(
-            &s(&[
-                "--threads",
-                "4",
-                "--tune",
-                "fixed:spgemm=1,align=3,batch=64",
-            ]),
-            SEARCH_VALUE_FLAGS,
-        )
-        .unwrap();
-        match parse_search_params(&fixed).unwrap().tune {
-            TunePolicy::Fixed(spec) => {
-                assert_eq!(spec.spgemm_cap, Some(1));
-                assert_eq!(spec.align_cap, Some(3));
-                assert_eq!(spec.batch, Some(64));
-                assert_eq!(spec.lookahead, None);
-            }
-            other => panic!("expected fixed policy, got {other}"),
-        }
-
-        // Fixed engine caps without a unified pool are refused (validate()).
-        let no_pool = Opts::parse(
-            &s(&["--tune", "fixed:spgemm=1,align=3"]),
-            SEARCH_VALUE_FLAGS,
-        )
-        .unwrap();
-        let err = parse_search_params(&no_pool).unwrap_err();
-        assert!(err.contains("--threads"), "unhelpful error: {err}");
-
-        // Unknown policies and malformed specs are rejected at parse time.
-        for bad in ["sometimes", "fixed:", "fixed:warp=9", "fixed:spgemm=0"] {
-            let o = Opts::parse(&s(&["--tune", bad]), SEARCH_VALUE_FLAGS).unwrap();
-            assert!(parse_search_params(&o).is_err(), "accepted --tune {bad}");
-        }
     }
 
     #[test]

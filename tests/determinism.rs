@@ -10,10 +10,11 @@
 //! similarity graph to be bit-identical.
 
 use pastis::comm::{run_threaded, Communicator, ProcessGrid};
-use pastis::core::pipeline::run_search_serial;
+use pastis::core::pipeline::{run_search_serial, run_search_serial_traced};
 use pastis::core::{run_search, LoadBalance, SearchParams};
 use pastis::seqio::{SyntheticConfig, SyntheticDataset};
 use pastis::sparse::SpGemmKind;
+use pastis::trace::{names, TraceSession, Track};
 
 fn dataset() -> pastis::seqio::SeqStore {
     SyntheticDataset::generate(&SyntheticConfig {
@@ -92,18 +93,6 @@ fn identical_results_across_schemes_and_preblocking() {
 }
 
 #[test]
-fn identical_results_across_align_thread_counts() {
-    // The intra-rank alignment pool joins the same contract as the rank
-    // count and the blocking size: the graph is bit-identical whether each
-    // rank aligns serially or on a worker pool.
-    let want = reference_fingerprint();
-    for threads in [1usize, 4] {
-        let res = run_search_serial(&dataset(), &params().with_align_threads(threads)).unwrap();
-        assert_eq!(fingerprint(&res.graph), want, "align_threads={threads}");
-    }
-}
-
-#[test]
 fn identical_results_across_spgemm_kernels_and_thread_counts() {
     // The local SpGEMM kernels (hash/heap/parallel) share one
     // combine-order contract, so the kernel-selection policy and the
@@ -177,6 +166,57 @@ fn identical_results_with_overlap_and_unified_pool() {
                         "threads={threads} spgemm={kind} pre_blocking={pb} overlap=on"
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn identical_results_across_align_thread_counts() {
+    // The intra-rank thread counts join the same contract as the rank
+    // count and the blocking size. Without `--threads`,
+    // `--align-threads`/`--spgemm-threads` size and cap the one work pool:
+    // every combination must emit the `--threads 1` TSV byte for byte, and
+    // alignment must run as pool units — `align.unit` spans on pool-worker
+    // tracks, never per-engine `align.worker` spans.
+    let store = dataset();
+    let base = params().with_blocking(2, 2);
+    let want = run_search_serial(&store, &base.clone().with_threads(1))
+        .unwrap()
+        .graph
+        .to_tsv_lines();
+    assert!(!want.is_empty(), "sweep baseline found no edges");
+    for align_threads in [0usize, 1, 3] {
+        for spgemm_threads in [0usize, 1, 3] {
+            for pb in [false, true] {
+                let prm = base
+                    .clone()
+                    .with_align_threads(align_threads)
+                    .with_spgemm_threads(spgemm_threads)
+                    .with_pre_blocking(pb);
+                assert_eq!(prm.threads, None);
+                let ctx =
+                    format!("align_threads={align_threads} spgemm_threads={spgemm_threads} pre_blocking={pb}");
+                let session = TraceSession::new();
+                let rec = session.recorder(0);
+                let res = run_search_serial_traced(&store, &prm, &rec).unwrap();
+                assert_eq!(res.graph.to_tsv_lines(), want, "TSV diverged at {ctx}");
+                let spans = rec.snapshot_spans();
+                assert!(
+                    spans.iter().all(|s| s.name != "align.worker"),
+                    "align.worker span at {ctx}"
+                );
+                let units: Vec<_> = spans
+                    .iter()
+                    .filter(|s| s.name == names::SPAN_ALIGN_UNIT)
+                    .collect();
+                assert!(!units.is_empty(), "no align.unit spans at {ctx}");
+                assert!(
+                    units
+                        .iter()
+                        .all(|s| matches!(s.track, Track::PoolWorker(_))),
+                    "align.unit off the pool-worker tracks at {ctx}"
+                );
             }
         }
     }

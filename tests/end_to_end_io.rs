@@ -1,6 +1,5 @@
-//! End-to-end file pipeline: FASTA in → partitioned parallel read →
-//! distributed search → partitioned triplet write → concatenated
-//! similarity-graph file — the full I/O protocol of the paper's runs
+//! End-to-end file pipeline: FASTA in → search → the same similarity
+//! graph as searching the in-memory store, and corrupt inputs rejected
 //! ("The input to PASTIS is a file in FASTA format … the output is the
 //! similarity graph in triplets").
 
@@ -9,7 +8,6 @@ use std::path::PathBuf;
 use pastis::core::pipeline::run_search_serial;
 use pastis::core::SearchParams;
 use pastis::seqio::fasta::{parse_fasta, write_fasta, SeqStore};
-use pastis::seqio::parallel_io::{concat_partitions, read_fasta_partition, write_partition};
 use pastis::seqio::{SyntheticConfig, SyntheticDataset};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -40,57 +38,6 @@ fn fasta_roundtrip_preserves_search_results() {
     assert_eq!(store2, ds.store);
     let via_file = run_search_serial(&store2, &params).unwrap();
     assert_eq!(via_file.graph.edges(), direct.graph.edges());
-}
-
-#[test]
-fn partitioned_read_search_write_concat() {
-    let dir = temp_dir("pipeline");
-    let ds = SyntheticDataset::generate(&SyntheticConfig {
-        n_sequences: 40,
-        mean_len: 70.0,
-        seed: 6,
-        ..SyntheticConfig::small(40, 6)
-    });
-    let input = dir.join("in.fa");
-    let mut buf = Vec::new();
-    write_fasta(&mut buf, &ds.store.to_records(), 0).unwrap();
-    std::fs::write(&input, &buf).unwrap();
-
-    // "Parallel" read: 4 ranks each read their byte range; the union must
-    // be the full store (order of records is preserved by offset order).
-    let nranks = 4;
-    let mut all_records = Vec::new();
-    for rank in 0..nranks {
-        all_records.extend(read_fasta_partition(&input, rank, nranks).unwrap());
-    }
-    let store = SeqStore::from_records(&all_records).unwrap();
-    assert_eq!(store.len(), ds.store.len());
-
-    // Search, then write triplets as per-rank partitions and concatenate.
-    let params = SearchParams::test_defaults();
-    let res = run_search_serial(&store, &params).unwrap();
-    let lines = res.graph.to_tsv_lines();
-    let out = dir.join("similarity.tsv");
-    // Split output lines across ranks like the distributed writer would.
-    let per = lines.len().div_ceil(nranks).max(1);
-    for rank in 0..nranks {
-        let chunk: Vec<String> = lines.iter().skip(rank * per).take(per).cloned().collect();
-        write_partition(&out, rank, &chunk).unwrap();
-    }
-    let total = concat_partitions(&out, nranks).unwrap();
-    let content = std::fs::read_to_string(&out).unwrap();
-    assert_eq!(content.len() as u64, total);
-    assert_eq!(content.lines().count(), lines.len());
-    // Every line parses as a triplet-plus-metrics record.
-    for line in content.lines() {
-        let fields: Vec<&str> = line.split('\t').collect();
-        assert_eq!(fields.len(), 6, "bad triplet line: {line}");
-        let i: u32 = fields[0].parse().unwrap();
-        let j: u32 = fields[1].parse().unwrap();
-        assert!(i < j);
-        let ani: f64 = fields[2].parse().unwrap();
-        assert!((0.0..=1.0).contains(&ani));
-    }
 }
 
 #[test]

@@ -84,7 +84,7 @@ fn four_rank_traced_session_is_complete() {
     }
 
     // Every rank's timeline carries every pipeline phase, plus at least one
-    // alignment-worker occupancy span on a sub-track.
+    // alignment unit span on a work-pool sub-track.
     for rank in 0..p {
         let rec = session.recorder(rank);
         let spans = rec.snapshot_spans();
@@ -102,8 +102,8 @@ fn four_rank_traced_session_is_complete() {
         assert!(
             spans
                 .iter()
-                .any(|s| matches!(s.track, Track::AlignWorker(_))),
-            "rank {rank} has no align-worker sub-track span"
+                .any(|s| s.name == "align.unit" && matches!(s.track, Track::PoolWorker(_))),
+            "rank {rank} has no align.unit span on a pool-worker sub-track"
         );
         // The instrumented communicator saw traffic on this rank.
         let comms = rec.snapshot_comms();
